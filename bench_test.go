@@ -452,7 +452,9 @@ func BenchmarkPrepareFrame(b *testing.B) {
 // conformance LUT property tests relate: the O(1) triangle-LUT lookup
 // the paper's detection step uses (Fig. 6) against the O(M log M)
 // sort-based exact reference. The gap is the per-path work FlexCore's
-// predefined ordering removes from the hot loop.
+// predefined ordering removes from the hot loop. The half entry is the
+// same lookup through the half-unit core the detector's descent calls,
+// with the point already scaled (no division per lookup).
 func BenchmarkKthClosest(b *testing.B) {
 	for _, m := range []int{16, 64, 256} {
 		cons := flexcore.MustConstellation(m)
@@ -468,6 +470,18 @@ func BenchmarkKthClosest(b *testing.B) {
 				z := pts[i%len(pts)]
 				k := i%m + 1
 				cons.KthClosestClamped(z, k)
+			}
+		})
+		half := make([][2]float64, len(pts))
+		for i, z := range pts {
+			half[i] = [2]float64{real(z) / cons.Scale(), imag(z) / cons.Scale()}
+		}
+		b.Run(fmt.Sprintf("half/m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := half[i%len(half)]
+				k := i%m + 1
+				cons.KthClosestHalf(h[0], h[1], k, true)
 			}
 		})
 		b.Run(fmt.Sprintf("sort/m=%d", m), func(b *testing.B) {

@@ -34,7 +34,12 @@ func dist2To(c *Constellation, z complex128, idx int) float64 {
 //   - KthClosestClamped always returns an in-range index, agrees with
 //     KthClosest whenever the unclamped lookup succeeds, and reports
 //     clamped=true exactly when it does not;
-//   - out-of-range ranks (k ≤ 0, k > M) are rejected, never sliced.
+//   - out-of-range ranks (k ≤ 0, k > M) are rejected by KthClosest and
+//     clamped to the nearest stored rank (reported as clamped) by
+//     KthClosestClamped;
+//   - the half-unit core KthClosestHalf, fed z/Scale, agrees with both
+//     wrappers on every input and rank, in both clamp modes, and its
+//     rounding helper equals int(math.Round(v)) on the raw inputs.
 func FuzzKthClosest(f *testing.F) {
 	f.Add(uint8(1), 0.3, -0.7)
 	f.Add(uint8(0), 0.0, 0.0)
@@ -52,6 +57,19 @@ func FuzzKthClosest(f *testing.F) {
 		if idx, ok := c.KthClosest(z, m+1); ok {
 			t.Fatalf("k=%d accepted (idx %d)", m+1, idx)
 		}
+		for _, v := range []float64{re, im} {
+			if got, want := roundInt(v), int(math.Round(v)); got != want {
+				t.Fatalf("roundInt(%v) = %d, int(math.Round) = %d", v, got, want)
+			}
+		}
+		hx, hy := re/c.Scale(), im/c.Scale()
+		for _, kk := range [][2]int{{0, 1}, {m + 1, m}} {
+			cidx, clamped := c.KthClosestClamped(z, kk[0])
+			hidx, _ := c.KthClosestHalf(hx, hy, kk[1], true)
+			if !clamped || cidx != hidx {
+				t.Fatalf("k=%d: KthClosestClamped = (%d, %v), want rank %d's (%d, true)", kk[0], cidx, clamped, kk[1], hidx)
+			}
+		}
 
 		seen := make(map[int]bool, m)
 		for k := 1; k <= m; k++ {
@@ -62,6 +80,12 @@ func FuzzKthClosest(f *testing.F) {
 			}
 			if ok != !clamped {
 				t.Fatalf("k=%d: ok=%v but clamped=%v", k, ok, clamped)
+			}
+			if hidx, hin := c.KthClosestHalf(hx, hy, k, false); hidx != idx || hin != ok {
+				t.Fatalf("k=%d: KthClosestHalf unclamped = (%d, %v), KthClosest = (%d, %v)", k, hidx, hin, idx, ok)
+			}
+			if hidx, hin := c.KthClosestHalf(hx, hy, k, true); hidx != cidx || hin != !clamped {
+				t.Fatalf("k=%d: KthClosestHalf clamped = (%d, %v), KthClosestClamped = (%d, %v)", k, hidx, hin, cidx, clamped)
 			}
 			if !ok {
 				continue

@@ -95,17 +95,30 @@ func (c *Constellation) KthClosest(z complex128, k int) (idx int, ok bool) {
 	if k < 1 || k > len(c.lut.offsets) {
 		return 0, false
 	}
+	return c.KthClosestHalf(real(z)/c.scale, imag(z)/c.scale, k, false)
+}
+
+// KthClosestHalf is the k-th-closest slicer core behind KthClosest and
+// KthClosestClamped. The point (x, y) is given in half-minimum-distance
+// units (z/Scale), so a caller that folds 1/Scale into a multiply it
+// already performs slices without a division. k must lie in [1, Size()].
+// One pass rounds each axis once, canonicalises into the stored
+// triangle and applies the rank-k offset. inRange reports whether the
+// candidate lies inside the constellation; when it does not, idx is the
+// per-axis saturated symbol if clamp is set and 0 otherwise (the
+// deactivated processing element).
+//
+//flexcore:noalloc
+func (c *Constellation) KthClosestHalf(x, y float64, k int, clamp bool) (idx int, inRange bool) {
+	side := c.side
 	// Nearest midpoint-grid node (values are even integers cx = 2m − side
 	// in half-distance units; symbols sit at odd integers).
-	mx := int(math.Round((real(z)/c.scale + float64(c.side)) / 2))
-	my := int(math.Round((imag(z)/c.scale + float64(c.side)) / 2))
-	cx := 2*mx - c.side
-	cy := 2*my - c.side
-	// Position relative to the square centre, in half-distance units.
-	dx := real(z)/c.scale - float64(cx)
-	dy := imag(z)/c.scale - float64(cy)
-
-	// Canonicalise into t1: record sign flips and the axis swap.
+	cx := 2*roundInt((x+float64(side))/2) - side
+	cy := 2*roundInt((y+float64(side))/2) - side
+	// Position relative to the square centre, canonicalised into t1:
+	// record sign flips and the axis swap.
+	dx := x - float64(cx)
+	dy := y - float64(cy)
 	sx, sy := 1, 1
 	if dx < 0 {
 		sx = -1
@@ -115,23 +128,23 @@ func (c *Constellation) KthClosest(z complex128, k int) (idx int, ok bool) {
 		sy = -1
 		dy = -dy
 	}
-	swap := dy > dx
-
 	off := c.lut.offsets[k-1]
 	oa, ob := off[0], off[1]
-	if swap {
+	if dy > dx {
 		oa, ob = ob, oa
 	}
-	// Symbol value in half-distance units: centre + signed odd offset.
-	vx := cx + sx*oa
-	vy := cy + sy*ob
-	// Axis index of a symbol at value v = 2i − side + 1 → i = (v+side−1)/2.
-	nx := (vx + c.side - 1) / 2
-	ny := (vy + c.side - 1) / 2
-	if nx < 0 || nx >= c.side || ny < 0 || ny >= c.side {
+	// Symbol value v = centre + signed odd offset; its axis index is
+	// i = (v + side − 1)/2, an exact halving of an even integer (cx and
+	// side are even, the offsets odd), hence the shift.
+	nx := (cx + sx*oa + side - 1) >> 1
+	ny := (cy + sy*ob + side - 1) >> 1
+	if uint(nx) < uint(side) && uint(ny) < uint(side) {
+		return ny*side + nx, true
+	}
+	if !clamp {
 		return 0, false
 	}
-	return ny*c.side + nx, true
+	return clampAxis(ny, side)*side + clampAxis(nx, side), false
 }
 
 // ExactKth returns the true k-th closest constellation point to z (k ≥ 1)
@@ -160,47 +173,16 @@ func (c *Constellation) ExactKth(z complex128, k int) int {
 // KthClosestClamped is KthClosest with per-axis slicer saturation: when
 // the predefined ordering points outside the constellation, each axis
 // index clamps to the nearest edge instead of deactivating the path —
-// the behaviour of a saturating hardware slicer. The boolean reports
-// whether clamping occurred.
+// the behaviour of a saturating hardware slicer. A k outside [1, Size()]
+// clamps to the nearest stored rank. The boolean reports whether either
+// clamp occurred.
 //
 //flexcore:noalloc
 func (c *Constellation) KthClosestClamped(z complex128, k int) (idx int, clamped bool) {
-	if idx, ok := c.KthClosest(z, k); ok {
-		return idx, false
-	}
-	// Recompute the raw candidate and saturate.
-	if k < 1 {
-		k = 1
-	}
-	if k > len(c.lut.offsets) {
-		k = len(c.lut.offsets)
-	}
-	mx := int(math.Round((real(z)/c.scale + float64(c.side)) / 2))
-	my := int(math.Round((imag(z)/c.scale + float64(c.side)) / 2))
-	cx := 2*mx - c.side
-	cy := 2*my - c.side
-	dx := real(z)/c.scale - float64(cx)
-	dy := imag(z)/c.scale - float64(cy)
-	sx, sy := 1, 1
-	if dx < 0 {
-		sx = -1
-		dx = -dx
-	}
-	if dy < 0 {
-		sy = -1
-		dy = -dy
-	}
-	swap := dy > dx
-	off := c.lut.offsets[k-1]
-	oa, ob := off[0], off[1]
-	if swap {
-		oa, ob = ob, oa
-	}
-	nx := (cx + sx*oa + c.side - 1) / 2
-	ny := (cy + sy*ob + c.side - 1) / 2
-	nx = clampAxis(nx, c.side)
-	ny = clampAxis(ny, c.side)
-	return ny*c.side + nx, true
+	outK := k < 1 || k > c.m
+	k = clampAxis(k-1, c.m) + 1
+	idx, in := c.KthClosestHalf(real(z)/c.scale, imag(z)/c.scale, k, true)
+	return idx, outK || !in
 }
 
 //flexcore:noalloc
@@ -212,4 +194,18 @@ func clampAxis(i, side int) int {
 		return side - 1
 	}
 	return i
+}
+
+// roundInt is int(math.Round(v)) — half away from zero, and the same
+// float handed to the conversion for NaN, ±Inf and |v| ≥ 2^52 — from
+// one truncation instead of math.Round's bit manipulation: v − Trunc(v)
+// is exact, and so is the ±1 step below 2^52.
+//
+//flexcore:noalloc
+func roundInt(v float64) int {
+	t := math.Trunc(v)
+	if math.Abs(v-t) >= 0.5 {
+		t += math.Copysign(1, v)
+	}
+	return int(t)
 }

@@ -164,3 +164,24 @@ func TestOrderLUTNearSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundIntMatchesMathRound pins the slicer's rounding helper to
+// int(math.Round(v)) on the values where a rounding rewrite can go
+// wrong: exact halves and their float neighbours, the 2^52/2^53 edges
+// where every float is an integer, values past the int range, and the
+// non-finite inputs.
+func TestRoundIntMatchesMathRound(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1 << 52, 1 << 53, 1<<52 + 0.5, 1 << 62, 1 << 63, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for h := -9; h <= 9; h++ {
+		v := float64(h) / 2
+		vals = append(vals, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+	}
+	for _, v := range vals {
+		for _, s := range []float64{v, -v} {
+			if got, want := roundInt(s), int(math.Round(s)); got != want {
+				t.Errorf("roundInt(%v) = %d, int(math.Round) = %d", s, got, want)
+			}
+		}
+	}
+}

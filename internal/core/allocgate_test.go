@@ -195,3 +195,112 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("PrepareAll with external re-base: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestDescentPlanAllocFree gates the complex128 descent plan: it is
+// rebuilt on the first detection after every Prepare or Select, so each
+// measured operation below rebuilds it (weights, lexicographic counting
+// sort, restart levels) and must still run from retained arenas once
+// the shapes have been seen — across the scalar Prepare→Detect route,
+// the frame route PrepareAll→Select→DetectBatch with and without an
+// installed ReuseState, and an active-path count that regrows and then
+// settles.
+func TestDescentPlanAllocFree(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nr, nt, nSC = 6, 4, 6
+	fa := frameChannels(409, nr, nt, nSC)
+	fb := frameChannels(410, nr, nt, nSC)
+	rng := newRng(411)
+	ys := make([][]complex128, 5)
+	for v := range ys {
+		ys[v] = transmit(rng, fa[0], cons, randSymbols(rng, cons, nt), 0.05)
+	}
+
+	t.Run("prepare-detect", func(t *testing.T) {
+		for _, workers := range []int{1, 3} {
+			fc := New(cons, Options{NPE: 64, Workers: workers})
+			defer fc.Close()
+			i := 0
+			op := func() {
+				i++
+				if err := fc.Prepare(fa[i%2], 0.05); err != nil {
+					t.Fatal(err)
+				}
+				fc.Detect(ys[i%len(ys)])
+			}
+			op()
+			op()
+			if n := testing.AllocsPerRun(50, op); n != 0 {
+				t.Errorf("workers=%d: Prepare→Detect %.1f allocs/op, want 0", workers, n)
+			}
+		}
+	})
+
+	for _, tc := range []struct {
+		name    string
+		workers int
+		reuse   bool
+	}{
+		{"frame", 1, false},
+		{"frame-par", 3, false},
+		{"frame-reusestate", 1, true},
+		{"frame-reusestate-par", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := New(cons, Options{NPE: 64, Workers: tc.workers, PathReuse: tc.reuse})
+			defer fc.Close()
+			var st ReuseState
+			if tc.reuse {
+				fc.SetReuseState(&st)
+			}
+			i := 0
+			op := func() {
+				i++
+				hs := fa
+				if i%3 == 0 { // mostly re-sent frames (reuse hits), some changes
+					hs = fb
+				}
+				if err := fc.PrepareAll(hs, 0.05); err != nil {
+					t.Fatal(err)
+				}
+				for k := range hs {
+					if err := fc.Select(k); err != nil {
+						t.Fatal(err)
+					}
+					fc.DetectBatch(ys)
+				}
+			}
+			for w := 0; w < 3; w++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(20, op); n != 0 {
+				t.Errorf("PrepareAll→Select→DetectBatch: %.1f allocs/op, want 0", n)
+			}
+		})
+	}
+
+	t.Run("npe-regrow-settle", func(t *testing.T) {
+		// a-FlexCore activates only the paths a channel needs: at low
+		// noise a handful, at high noise hundreds — the plan arenas regrow
+		// once, then the alternation must settle.
+		fc := New(cons, Options{NPE: 512, Threshold: 0.95})
+		defer fc.Close()
+		sigmas := []float64{0.5, 1e-4} // the first op runs at 1e-4
+		i := 0
+		op := func() {
+			i++
+			if err := fc.Prepare(fa[0], sigmas[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			fc.Detect(ys[0])
+		}
+		op()
+		few := fc.ActivePaths()
+		op()
+		if many := fc.ActivePaths(); few >= many {
+			t.Fatalf("active paths %d then %d, want a regrow", few, many)
+		}
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Errorf("alternating active path counts after the regrow: %.1f allocs/op, want 0", n)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
@@ -92,11 +91,12 @@ type FlexCore struct {
 
 	// Steady-state scratch, grown in Prepare and reused across
 	// Detect/DetectBatch calls so the hot path is allocation-free.
-	ybar []complex128 // rotated received vector
-	idx  []int        // per-path candidate scratch
-	sym  []complex128 // per-path symbol scratch
-	best []int        // current best path (factored order)
-	out  []int        // unpermuted result handed to the caller
+	sc  scratch // sequential-route descent state
+	out []int   // unpermuted result handed to the caller
+
+	// Descent plan of the complex128 backend, rebuilt lazily after
+	// Prepare/Select (descent.go).
+	plan plan
 
 	// Batch result arena: one flat buffer re-sliced into per-vector
 	// headers each DetectBatch call.
@@ -170,10 +170,11 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 	}
 	d.qr = d.qrws.SortedQRInto(h, d.opts.Ordering, &d.qrOwn)
 	d.n = h.Cols
-	d.ensureScratch() //lint:ignore noalloc amortised: the inlined grow helper allocates only when the stream count changes
+	d.ensureScratch()
 	d.model = NewModelInto(&d.modelOwn, d.qr.R, sigma2, d.cons)
 	d.preparePaths(d.qr.R, sigma2)
 	d.soa.dirty = true
+	d.plan.dirty = true
 	d.ops.Prepares++
 	muls := int64(4 * h.Rows * h.Cols * h.Cols)
 	d.ops.RealMuls += muls
@@ -258,55 +259,11 @@ func (d *FlexCore) FallbackDetections() int64 { return d.fallbk }
 // count; it only allocates when n grows, keeping Detect allocation-free
 // in steady state.
 func (d *FlexCore) ensureScratch() {
-	if cap(d.idx) < d.n {
-		d.idx = make([]int, d.n)
-		d.sym = make([]complex128, d.n)
-		d.best = make([]int, d.n)
+	d.sc.ensure(d.n)
+	if cap(d.out) < d.n {
 		d.out = make([]int, d.n)
-		d.ybar = make([]complex128, d.n)
 	}
-	d.idx = d.idx[:d.n]
-	d.sym = d.sym[:d.n]
-	d.best = d.best[:d.n]
 	d.out = d.out[:d.n]
-	d.ybar = d.ybar[:d.n]
-}
-
-// evalPath walks one tree path: at each level it cancels the decided
-// interference, forms the effective received point (Eq. 5) and picks the
-// rank[i]-th closest symbol through the predefined ordering, writing the
-// candidate into idx/sym. A candidate outside the constellation
-// saturates the slicer per axis (default) or deactivates the whole path
-// (StrictDeactivation, the paper's literal §3.2 wording), reported by
-// ok = false.
-//
-//flexcore:noalloc
-func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []complex128) (ped float64, ok bool) {
-	for i := d.n - 1; i >= 0; i-- {
-		b := cmatrix.CancelRow(d.qr.R, ybar, sym, i)
-		rii := real(d.qr.R.At(i, i))
-		if rii <= 0 {
-			return 0, false
-		}
-		z := b / complex(rii, 0)
-		var k int
-		if d.opts.ExactSlicer {
-			k = d.cons.ExactKth(z, ranks[i])
-		} else if d.opts.StrictDeactivation {
-			var kok bool
-			k, kok = d.cons.KthClosest(z, ranks[i])
-			if !kok {
-				return 0, false
-			}
-		} else {
-			k, _ = d.cons.KthClosestClamped(z, ranks[i])
-		}
-		idx[i] = k
-		q := d.cons.Point(k)
-		sym[i] = q
-		ped += cmatrix.PEDIncrement(b, rii, q)
-	}
-	return ped, true
 }
 
 // countDetections accumulates the operation counters for detecting
@@ -332,24 +289,53 @@ func (d *FlexCore) countDetections(vectors, ylen int) {
 //flexcore:noalloc
 func (d *FlexCore) Detect(y []complex128) []int {
 	d.countDetections(1, len(y))
-	if d.useSoA() {
-		return d.detectSoA(y)
-	}
-	// One or zero paths gain nothing from fan-out: take the sequential
-	// route before touching the pool.
-	if d.opts.Workers > 1 && len(d.paths) > 1 {
-		ybar := d.qr.YbarInto(y, d.ybar)
-		if !d.detectParallel(ybar) {
+	degenerate := d.refresh()
+	// One or zero paths gain nothing from fan-out, and a degenerate
+	// channel goes straight to the fallback: take the sequential route
+	// before touching the pool.
+	if degenerate || d.opts.Workers <= 1 || len(d.paths) <= 1 {
+		if d.detectVector(y, &d.sc, &d.soa.scratch, d.out) {
 			d.fallbk++
-			d.clampedSICInto(ybar, d.idx, d.sym)
-			return d.qr.UnpermuteIntsInto(d.idx, d.out)
 		}
-		return d.qr.UnpermuteIntsInto(d.best, d.out)
+		return d.out
 	}
-	if d.detectOne(y, d.ybar, d.idx, d.sym, d.best, d.out) {
+	soa := d.useSoA()
+	yb := d.qr.YbarInto(y, d.sc.ybar)
+	if soa {
+		d.soa.scratch.SetYbar(yb)
+	}
+	p := d.ensurePool()
+	p.kind = jobPaths
+	p.ybar = yb
+	p.dispatch()
+	w := p.blockWinner()
+	if w == nil {
 		d.fallbk++
+		d.clampedSICInto(yb, d.sc.idx, d.sc.sym)
+		return d.qr.UnpermuteIntsInto(d.sc.idx, d.out)
 	}
-	return d.out
+	best := w.sc.best
+	if soa {
+		best = d.sc.best
+		d.soa.scratch.GatherIdx(w.win, best)
+	}
+	return d.qr.UnpermuteIntsInto(best, d.out)
+}
+
+// refresh rebuilds the active backend's per-channel detection state
+// (the SoA planes or the descent plan) when Prepare or Select marked it
+// stale, and reports whether the channel is degenerate (some R_ii ≤ 0:
+// every path deactivates). Detection calls it on the dispatching
+// goroutine, so pool workers only read that state.
+//
+//flexcore:noalloc
+func (d *FlexCore) refresh() (degenerate bool) {
+	if d.useSoA() {
+		d.soaRefresh()
+		return d.soa.prep.Degenerate
+	}
+	d.planRefresh()
+	return d.plan.degenerate
 }
 
 // DetectBatch implements detector.BatchDetector: it detects a whole
@@ -371,12 +357,7 @@ func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
 	}
 	d.countDetections(len(ys), len(ys[0]))
 	out := d.batchSlots(len(ys)) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the burst shape grows
-	soa := d.useSoA()
-	if soa {
-		// Refresh once on the dispatcher so the batch workers only read
-		// the planes.
-		d.soaRefresh()
-	}
+	d.refresh()
 	if d.opts.Workers > 1 && len(ys) > 1 && len(d.paths) > 0 {
 		p := d.ensurePool()
 		p.kind = jobBatch
@@ -389,13 +370,7 @@ func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
 		return out
 	}
 	for i, y := range ys {
-		var fb bool
-		if soa {
-			fb = d.soaDetectOne(y, &d.soa.scratch, d.ybar, d.idx, d.sym, d.best, out[i])
-		} else {
-			fb = d.detectOne(y, d.ybar, d.idx, d.sym, d.best, out[i])
-		}
-		if fb {
+		if d.detectVector(y, &d.sc, &d.soa.scratch, out[i]) {
 			d.fallbk++
 		}
 	}
@@ -417,60 +392,6 @@ func (d *FlexCore) batchSlots(m int) [][]int {
 	return d.batchHdr
 }
 
-// detectOne runs one full detection with caller-owned scratch (ybar,
-// idx, sym, best of length ≥ n) and writes the unpermuted result into
-// out. It reports whether the clamped-SIC fallback resolved the vector.
-// It is the sequential per-vector kernel shared by Detect, the
-// sequential DetectBatch route and the pool's batch workers.
-//
-//flexcore:noalloc
-func (d *FlexCore) detectOne(y []complex128, ybar []complex128, idx []int, sym []complex128, best, out []int) bool {
-	yb := d.qr.YbarInto(y, ybar)
-	bestPed := math.Inf(1)
-	found := false
-	for _, p := range d.paths {
-		ped, ok := d.evalPath(yb, p.Ranks, idx, sym)
-		if ok && ped < bestPed {
-			bestPed, found = ped, true
-			copy(best, idx)
-		}
-	}
-	if !found {
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
-		return true
-	}
-	d.qr.UnpermuteIntsInto(best, out)
-	return false
-}
-
-// detectParallel fans the paths out over the persistent worker pool;
-// each worker keeps its own scratch and local minimum, merged here — the
-// software analogue of Fig. 2's per-processing-element pipeline plus
-// minimum tree. The winning path lands in d.best; the return value
-// reports whether any path survived.
-//
-//flexcore:noalloc
-func (d *FlexCore) detectParallel(ybar []complex128) bool {
-	p := d.ensurePool()
-	p.kind = jobPaths
-	p.ybar = ybar
-	p.dispatch()
-	bestPed := math.Inf(1)
-	var winner *poolWorker
-	for _, w := range p.workers {
-		if w.ok && w.ped < bestPed {
-			bestPed = w.ped
-			winner = w
-		}
-	}
-	if winner == nil {
-		return false
-	}
-	copy(d.best, winner.best)
-	return true
-}
-
 // ensurePool lazily starts the persistent workers (first parallel use).
 func (d *FlexCore) ensurePool() *pool {
 	if d.pool == nil {
@@ -487,25 +408,6 @@ func (d *FlexCore) Close() {
 		d.pool.stop()
 		d.pool = nil
 	}
-}
-
-// clampedSICInto is the deactivation fallback: a rank-one descent using
-// the exact slicer (which clamps to the constellation and never
-// deactivates), written into caller-owned idx/sym scratch.
-//
-//flexcore:noalloc
-func (d *FlexCore) clampedSICInto(ybar []complex128, idx []int, sym []complex128) []int {
-	for i := d.n - 1; i >= 0; i-- {
-		b := cmatrix.CancelRow(d.qr.R, ybar, sym, i)
-		rii := real(d.qr.R.At(i, i))
-		var z complex128
-		if rii > 0 {
-			z = b / complex(rii, 0)
-		}
-		idx[i] = d.cons.Slice(z)
-		sym[i] = d.cons.Point(idx[i])
-	}
-	return idx
 }
 
 // OpCount implements detector.Detector.

@@ -237,7 +237,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		return err
 	}
 	d.n = n
-	d.ensureScratch() //lint:ignore noalloc amortised: the inlined grow helper allocates only when the stream count changes
+	d.ensureScratch()
 	if cap(d.frame) < len(hs) {
 		grown := make([]prepSlot, len(hs)) //lint:ignore noalloc amortised: frame arena regrows only when the subcarrier count grows
 		copy(grown, d.frame)               // keep the arenas already grown in old slots
@@ -246,6 +246,10 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	d.frame = d.frame[:len(hs)]
 	d.frameN = len(hs)
 	frame := d.frame
+	// A selected slot of the previous frame is about to be overwritten
+	// in place, so whatever the detector derived from it is stale.
+	d.soa.dirty = true
+	d.plan.dirty = true
 
 	parallel := d.opts.Workers > 1 && len(hs) > 1
 
@@ -398,5 +402,6 @@ func (d *FlexCore) Select(k int) error {
 	d.paths = s.paths
 	d.ppOps.CumulativeProb = s.cum
 	d.soa.dirty = true
+	d.plan.dirty = true
 	return nil
 }

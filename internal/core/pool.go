@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"flexcore/internal/cmatrix"
@@ -58,20 +57,14 @@ type poolWorker struct {
 	id    int
 	start chan struct{}
 
-	idx  []int        // per-path candidate scratch
-	sym  []complex128 // per-path symbol scratch
-	best []int        // local best path (jobPaths) / per-vector best (jobBatch)
-	ybar []complex128 // jobBatch: per-worker rotated vector
-
+	sc       scratch             // jobPaths/jobBatch: per-worker descent state
 	qrws     cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
 	finder   pathFinder          // jobPrepPaths: per-worker search pool
 	finder32 pathFinder32        // jobPrepPaths: per-worker search pool (SoA backend)
 	ks       kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
 
-	ped    float64 // jobPaths: local minimum PED
-	ok     bool    // jobPaths: local minimum exists
-	lane   int     // jobPaths (SoA): block-best lane, -1 when none survives
-	ped32  float32 // jobPaths (SoA): block-best distance
+	win    int     // jobPaths: block-best path index, -1 when none survives
+	ped    float64 // jobPaths: block-best distance
 	fallbk int64   // jobBatch: fallback detections in the last job
 }
 
@@ -127,48 +120,51 @@ func (p *pool) run(w *poolWorker) {
 // ensure grows the worker scratch to the detector's current stream
 // count. It runs on the worker goroutine after the wake-up (so it is
 // ordered after Prepare) and only allocates when n grows.
-func (w *poolWorker) ensure(d *FlexCore) {
-	if cap(w.idx) < d.n {
-		w.idx = make([]int, d.n)
-		w.sym = make([]complex128, d.n)
-		w.best = make([]int, d.n)
-		w.ybar = make([]complex128, d.n)
-	}
-	w.idx = w.idx[:d.n]
-	w.sym = w.sym[:d.n]
-	w.best = w.best[:d.n]
-	w.ybar = w.ybar[:d.n]
-}
+func (w *poolWorker) ensure(d *FlexCore) { w.sc.ensure(d.n) }
 
-// runPaths evaluates the worker's stride of the selected paths against
-// the shared rotated vector, keeping a local minimum (merged by the
-// dispatcher — the minimum tree of Fig. 2).
+// runPaths evaluates the worker's contiguous block of the selected paths
+// against the shared rotated vector, keeping the block's best path
+// (merged by the dispatcher in blockWinner — the minimum tree of
+// Fig. 2). On the complex128 backend the block is a run of the descent
+// plan's lexicographic order; on the SoA backend it is a lane block of
+// the shared scratch. All per-block state is disjoint, so the partition
+// cannot change the result.
 //
 //flexcore:noalloc
 func (p *pool) runPaths(w *poolWorker) {
 	d := p.d
+	w.win = -1
 	if d.useSoA() {
-		// SoA route: a contiguous lane block of the shared scratch (all
-		// per-lane state is disjoint, so blocks never interfere and the
-		// partition cannot change the result).
 		lo, hi := laneBlock(w.id, len(p.workers), d.soa.prep.P)
-		if lo >= hi {
-			w.lane = -1
-			return
+		if lo < hi {
+			lane, ped := kernel32.Descend(&d.soa.prep, d.soa.slicer, &d.soa.scratch, lo, hi, d.opts.StrictDeactivation)
+			w.win, w.ped = lane, float64(ped)
 		}
-		w.lane, w.ped32 = kernel32.Descend(&d.soa.prep, d.soa.slicer, &d.soa.scratch, lo, hi, d.opts.StrictDeactivation)
 		return
 	}
-	w.ped = math.Inf(1)
-	w.ok = false
-	stride := len(p.workers)
-	for i := w.id; i < len(d.paths); i += stride {
-		ped, ok := d.evalPath(p.ybar, d.paths[i].Ranks, w.idx, w.sym)
-		if ok && ped < w.ped {
-			w.ped, w.ok = ped, true
-			copy(w.best, w.idx)
+	lo, hi := laneBlock(w.id, len(p.workers), len(d.plan.steps))
+	if lo < hi {
+		w.win, w.ped = d.descend(p.ybar, lo, hi, &w.sc)
+	}
+}
+
+// blockWinner merges the workers' block results of a jobPaths dispatch:
+// the least (distance, path index) pair, i.e. the path a strict-minimum
+// scan in path-index order picks (ties to the lowest index). It returns
+// nil when no path survived.
+//
+//flexcore:noalloc
+func (p *pool) blockWinner() *poolWorker {
+	var best *poolWorker
+	for _, w := range p.workers {
+		if w.win < 0 {
+			continue
+		}
+		if best == nil || w.ped < best.ped || (w.ped <= best.ped && w.win < best.win) {
+			best = w
 		}
 	}
+	return best
 }
 
 // runBatch fully detects the worker's stride of the burst's vectors,
@@ -179,15 +175,8 @@ func (p *pool) runBatch(w *poolWorker) {
 	d := p.d
 	w.fallbk = 0
 	stride := len(p.workers)
-	soa := d.useSoA()
 	for i := w.id; i < len(p.ys); i += stride {
-		var fb bool
-		if soa {
-			fb = d.soaDetectOne(p.ys[i], &w.ks, w.ybar, w.idx, w.sym, w.best, p.out[i])
-		} else {
-			fb = d.detectOne(p.ys[i], w.ybar, w.idx, w.sym, w.best, p.out[i])
-		}
-		if fb {
+		if d.detectVector(p.ys[i], &w.sc, &w.ks, p.out[i]) {
 			w.fallbk++
 		}
 	}

@@ -67,70 +67,45 @@ func (d *FlexCore) soaRefresh() {
 // caller-owned scratch, writing the unpermuted result into out; the
 // planes must be refreshed already. It reports whether the clamped-SIC
 // fallback resolved the vector — the scalar detectOne contract. The
-// complex128 scratch (ybar/idx/sym) stays in play for the ȳ rotation
-// and the fallback, both of which are shared with the scalar backend.
+// complex128 scratch stays in play for the ȳ rotation and the fallback,
+// both of which are shared with the scalar backend.
 //
 //flexcore:noalloc
-func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []complex128, idx []int, sym []complex128, best, out []int) bool {
-	yb := d.qr.YbarInto(y, ybar)
+func (d *FlexCore) soaDetectOne(y []complex128, ks *kernel32.Scratch, s *scratch, out []int) bool {
+	yb := d.qr.YbarInto(y, s.ybar)
 	P := d.soa.prep.P
 	if P == 0 || d.soa.prep.Degenerate {
 		// A non-positive diagonal deactivates every path at that level in
 		// the scalar backend too: straight to the fallback.
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
+		d.clampedSICInto(yb, s.idx, s.sym)
+		d.qr.UnpermuteIntsInto(s.idx, out)
 		return true
 	}
-	s.Ensure(d.n, P)
-	s.SetYbar(yb)
-	lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, s, 0, P, d.opts.StrictDeactivation)
+	ks.Ensure(d.n, P)
+	ks.SetYbar(yb)
+	lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, ks, 0, P, d.opts.StrictDeactivation)
 	if lane < 0 {
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
+		d.clampedSICInto(yb, s.idx, s.sym)
+		d.qr.UnpermuteIntsInto(s.idx, out)
 		return true
 	}
-	s.GatherIdx(lane, best)
-	d.qr.UnpermuteIntsInto(best, out)
+	ks.GatherIdx(lane, s.best)
+	d.qr.UnpermuteIntsInto(s.best, out)
 	return false
 }
 
-// detectSoA is the Detect body of the SoA backend: the whole lane batch
-// descends in one Descend call (sequential route), or in per-worker
-// lane blocks over the shared scratch (Workers > 1) — all per-lane
-// state is disjoint, so the block partition cannot change the result.
+// detectVector runs one sequential detection on the active backend with
+// caller-owned scratch (ks serves the SoA kernel only), writing the
+// unpermuted result into out; the backend state must be refreshed
+// already. It reports whether the clamped-SIC fallback resolved the
+// vector.
 //
 //flexcore:noalloc
-func (d *FlexCore) detectSoA(y []complex128) []int {
-	d.soaRefresh()
-	if d.opts.Workers > 1 && len(d.paths) > 1 && !d.soa.prep.Degenerate {
-		yb := d.qr.YbarInto(y, d.ybar)
-		d.soa.scratch.SetYbar(yb)
-		p := d.ensurePool()
-		p.kind = jobPaths
-		p.ybar = yb
-		p.dispatch()
-		// Merge the per-block minima in worker (= ascending lane) order
-		// with a strict comparison: identical to the sequential argmin,
-		// ties resolved to the lowest lane.
-		lane := -1
-		var bestPed float32
-		for _, w := range p.workers {
-			if w.lane >= 0 && (lane < 0 || w.ped32 < bestPed) {
-				bestPed, lane = w.ped32, w.lane
-			}
-		}
-		if lane < 0 {
-			d.fallbk++
-			d.clampedSICInto(yb, d.idx, d.sym)
-			return d.qr.UnpermuteIntsInto(d.idx, d.out)
-		}
-		d.soa.scratch.GatherIdx(lane, d.best)
-		return d.qr.UnpermuteIntsInto(d.best, d.out)
+func (d *FlexCore) detectVector(y []complex128, s *scratch, ks *kernel32.Scratch, out []int) bool {
+	if d.useSoA() {
+		return d.soaDetectOne(y, ks, s, out)
 	}
-	if d.soaDetectOne(y, &d.soa.scratch, d.ybar, d.idx, d.sym, d.best, d.out) {
-		d.fallbk++
-	}
-	return d.out
+	return d.detectOne(y, s, out)
 }
 
 // laneBlock returns worker id's contiguous lane block [lo, hi) of P

@@ -21,6 +21,7 @@ const maxLLR = 8.0
 func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs [][]float64) {
 	ybar := d.qr.Ybar(y)
 	d.countDetections(1, len(y))
+	d.planRefresh()
 	bits := d.cons.BitsPerSymbol()
 
 	type candidate struct {
@@ -28,18 +29,21 @@ func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs 
 		ped float64
 	}
 	cands := make([]candidate, 0, len(d.paths))
-	idx := make([]int, d.n)
-	sym := make([]complex128, d.n)
-	for _, p := range d.paths {
-		ped, ok := d.evalPath(ybar, p.Ranks, idx, sym)
-		if ok {
-			cands = append(cands, candidate{idx: append([]int(nil), idx...), ped: ped})
+	var s scratch
+	s.ensure(d.n)
+	if !d.plan.degenerate {
+		// Every path walks from the root in path-index order: the
+		// candidate list needs each leaf, not only the winner.
+		for _, p := range d.paths {
+			if d.walk(ybar, p.Ranks, d.n-1, &s) < 0 {
+				cands = append(cands, candidate{idx: append([]int(nil), s.idx...), ped: s.ped[0]})
+			}
 		}
 	}
 	if len(cands) == 0 {
 		// Degenerate: fall back to the clamped SIC path with saturated
 		// confidence.
-		sic := d.clampedSICInto(ybar, make([]int, d.n), make([]complex128, d.n))
+		sic := d.clampedSICInto(ybar, s.idx, s.sym)
 		cands = append(cands, candidate{idx: sic, ped: 0})
 	}
 

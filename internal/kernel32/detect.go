@@ -6,16 +6,16 @@ package kernel32
 // one reciprocal multiply (no complex division), picks the lane's
 // rank[i]-th closest symbol with the inlined integer slicer, and
 // accumulates the partial Euclidean distance — the lane-batched
-// restatement of the scalar evalPath loop.
+// restatement of the scalar descent, without its prefix sharing.
 //
 // strict selects the paper's literal §3.2 deactivation (a candidate
 // outside the constellation kills the lane, marked by a +Inf distance);
 // the default saturates the slicer per axis. With pr.Degenerate the
 // caller must skip Descend entirely and take the fallback, exactly like
-// the scalar backend's per-level rii ≤ 0 bailout.
+// the scalar backend's degenerate plan.
 //
 // It returns the block's best lane (ties resolved to the lowest lane
-// index, matching the scalar first-strict-improvement scan) and its
+// index, matching the scalar backend's path-index tie-break) and its
 // distance; lane −1 means every lane of the block deactivated. Because
 // every lane's arithmetic depends only on its own planes, the result of
 // a block is independent of how blocks partition the lanes — the
