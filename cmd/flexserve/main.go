@@ -4,7 +4,9 @@
 // them across per-shard worker pools (several detectors per shard,
 // per-user FIFO sequencing) with consistent user→shard routing,
 // applies bounded admission queues with explicit overload rejection,
-// reuses each user's Prepare results across frames when -reuse is set,
+// steps queued frames down the -ladder N_PE rungs under pressure (on
+// the same detectors, keeping per-user reuse), reuses each user's
+// Prepare results across frames when -reuse is set,
 // coalesces response writes per connection, and exposes a JSON metrics
 // endpoint (latency histogram, throughput, per-shard queue depths and
 // high-watermarks, reuse hit/miss counters, rejection counts,
@@ -51,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 0, "per-detector worker pool (0/1 = sequential; decisions are identical for any value)")
 	reuse := flag.Float64("reuse", -1, "coherence threshold for position-vector reuse, within frames and per user across frames (<0 = off; 0 = exact-match, output-neutral)")
 	backendName := flag.String("backend", "", "kernel backend: complex128 (default) or soa32")
-	ladder := flag.String("ladder", "", "comma-separated descending N_PE degradation rungs (e.g. 128,32 under -npe 512); empty disables graceful degradation")
+	ladder := flag.String("ladder", "", "comma-separated descending N_PE degradation rungs, each below -npe (e.g. 128,32 under -npe 512), served by the same detectors from a prefix of their paths; empty disables graceful degradation")
 	degradeStart := flag.Float64("degrade-start", 0, "queue-fill fraction at which degradation begins (0 = default 0.5)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "per-frame read budget once a header has arrived (0 disables)")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "idle-connection reap budget between frames (0 disables)")
@@ -88,6 +90,7 @@ func main() {
 		WorkersPerShard: *shardWorkers,
 		QueueDepth:      *queue,
 		UserStateCap:    *userCap,
+		DegradeLadder:   rungs,
 		DegradeStart:    *degradeStart,
 		ReadTimeout:     *readTimeout,
 		IdleTimeout:     *idleTimeout,
@@ -95,14 +98,6 @@ func main() {
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, opts)
 		},
-	}
-	if len(rungs) > 0 {
-		scfg.DegradeLadder = rungs
-		scfg.DegradeFactory = func(npe int) detector.Detector {
-			rungOpts := opts
-			rungOpts.NPE = npe
-			return core.New(cons, rungOpts)
-		}
 	}
 	srv, err := serve.NewServer(scfg)
 	if err != nil {
@@ -149,8 +144,8 @@ func main() {
 }
 
 // parseLadder parses the -ladder flag: a comma-separated list of
-// descending N_PE rungs, empty for none. Ordering and positivity are
-// validated again by serve.NewServer; this only parses.
+// descending N_PE rungs, empty for none. serve.NewServer validates them
+// (positive, strictly decreasing, below -npe); this only parses.
 func parseLadder(spec string) ([]int, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil

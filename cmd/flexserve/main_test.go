@@ -105,7 +105,7 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 }
 
 // TestParseLadder pins the flag syntax; semantic validation (descending,
-// positive) stays with serve.NewServer.
+// positive, every rung below -npe) stays with serve.NewServer.
 func TestParseLadder(t *testing.T) {
 	if rungs, err := parseLadder(" 128, 32 "); err != nil || len(rungs) != 2 || rungs[0] != 128 || rungs[1] != 32 {
 		t.Fatalf("parseLadder(\" 128, 32 \") = %v, %v", rungs, err)

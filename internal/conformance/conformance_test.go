@@ -154,7 +154,8 @@ func flexAt(t *testing.T, c *Case, opts core.Options) *core.FlexCore {
 //   - The distance of FlexCore's decision is monotonically
 //     non-increasing in N_PE: the pre-processing search is best-first
 //     with monotone path probabilities, so a smaller budget's selected
-//     path set is a prefix of a larger budget's.
+//     path set is a prefix of a larger budget's (pinned bit for bit by
+//     core.TestFindPathsPrefix).
 //   - At N_PE = |Q|^Nt — every position vector selected — the
 //     ExactSlicer decision scores exactly the exhaustive-ML minimum
 //     (the rank-vector → symbol-vector map is a bijection under the

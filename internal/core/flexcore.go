@@ -80,6 +80,7 @@ type Options struct {
 type FlexCore struct {
 	cons *constellation.Constellation
 	opts Options
+	npe  int // path budget of later searches (SetNPE); opts.NPE by default
 
 	qr     *cmatrix.QRResult
 	model  *Model
@@ -135,7 +136,20 @@ func New(cons *constellation.Constellation, opts Options) *FlexCore {
 	if opts.Ordering == 0 {
 		opts.Ordering = cmatrix.OrderSQRD
 	}
-	return &FlexCore{cons: cons, opts: opts}
+	return &FlexCore{cons: cons, opts: opts, npe: opts.NPE}
+}
+
+// SetNPE sets the N_PE of later Prepare/PrepareAll calls (n ≤ 0 or
+// n ≥ Options.NPE: the full NPE) and returns the value now in effect.
+// The n-path set is the first n paths of the full one (DESIGN.md §14.2).
+//
+//flexcore:noalloc
+func (d *FlexCore) SetNPE(n int) int {
+	if n <= 0 || n > d.opts.NPE {
+		n = d.opts.NPE
+	}
+	d.npe = n
+	return n
 }
 
 // Name implements detector.Detector.
@@ -187,32 +201,37 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 //
 //flexcore:noalloc
 func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
-	if d.opts.PathReuse && d.reuse.valid {
+	if d.opts.PathReuse && d.reuse.valid && d.reuse.npe >= d.npe {
 		d.countSimilarity(r.Cols)
 		if d.reuse.match(r, sigma2, d.opts.ReuseThreshold) {
-			d.paths = d.reuse.paths
+			d.paths, d.ppOps.CumulativeProb = d.reuse.prefix(d.npe, d.useSoA())
 			d.ppOps.CacheHits++
-			d.ppOps.CumulativeProb = d.reuse.cum
 			return
 		}
 	}
-	var paths []Path
-	var stats PreprocessStats
-	if d.useSoA() {
-		paths, stats = d.finder32.find(d.model, d.opts.NPE, d.opts.Threshold)
-	} else {
-		paths, stats = d.finder.find(d.model, d.opts.NPE, d.opts.Threshold)
-	}
+	paths, stats := d.search(d.model, &d.finder, &d.finder32)
 	d.ppOps.RealMuls += stats.RealMuls
 	d.ppOps.Expanded += stats.Expanded
 	d.ppOps.CumulativeProb = stats.CumulativeProb
 	if d.opts.PathReuse {
 		d.ppOps.CacheMisses++
-		d.reuse.store(r, sigma2, paths, stats.CumulativeProb)
+		d.reuse.store(r, sigma2, paths, stats.CumulativeProb, d.npe)
 		d.paths = d.reuse.paths
 		return
 	}
 	d.paths = paths
+}
+
+// search runs the active backend's pre-processing tree search on m at
+// the current N_PE with the caller-owned finders (only the backend's
+// one is touched).
+//
+//flexcore:noalloc
+func (d *FlexCore) search(m *Model, f *pathFinder, f32 *pathFinder32) ([]Path, PreprocessStats) {
+	if d.useSoA() {
+		return f32.find(m, d.npe, d.opts.Threshold)
+	}
+	return f.find(m, d.npe, d.opts.Threshold)
 }
 
 // countSimilarity accounts the coherence test's arithmetic: 2 real
@@ -242,7 +261,7 @@ func (d *FlexCore) countSimilarity(n int) {
 func (d *FlexCore) SetReuseState(st *ReuseState) { d.extReuse = st }
 
 // ActivePaths returns the number of processing elements activated for the
-// current channel (< NPE only for a-FlexCore).
+// current channel (< NPE only for a-FlexCore or a lowered SetNPE).
 func (d *FlexCore) ActivePaths() int { return len(d.paths) }
 
 // Paths returns the selected position vectors (descending Pc).

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"flexcore/internal/cmatrix"
+	"flexcore/internal/kernel32"
 )
 
 // This file implements the channel-rate fast path across channels: the
@@ -20,14 +22,36 @@ import (
 // reuseCache is the depth-1 coherence cache of the scalar Prepare path:
 // the R factor, noise variance and position vectors of the last fresh-
 // prepared channel. Stored paths live in cache-owned arenas so they
-// survive subsequent tree searches into the finder's scratch.
+// survive subsequent tree searches into the finder's scratch. A base
+// serves requests at or below the N_PE it was searched at (SetNPE).
 type reuseCache struct {
 	valid  bool
 	r      *cmatrix.Matrix // copy of the base R
 	sigma2 float64
 	cum    float64
+	npe    int // N_PE the base was searched at
 	paths  []Path
 	ranks  []int // backing for the cached Ranks
+}
+
+// prefix returns the first min(n, len) cached paths and Σ Pc over them,
+// summed as the backend's search sums it (soa: float32), so a hit equals
+// a fresh search at N_PE n bit for bit.
+//
+//flexcore:noalloc
+func (c *reuseCache) prefix(n int, soa bool) ([]Path, float64) {
+	if n >= len(c.paths) {
+		return c.paths, c.cum
+	}
+	var cum float64
+	for _, p := range c.paths[:n] {
+		if soa {
+			cum += float64(kernel32.Exp32(float32(p.LogP)))
+		} else {
+			cum += math.Exp(p.LogP)
+		}
+	}
+	return c.paths[:n], cum
 }
 
 // similarR reports whether r is within thr of base in normalized
@@ -49,14 +73,11 @@ func similarR(base, r *cmatrix.Matrix, thr float64) bool {
 	return diff2 <= thr*thr*norm2
 }
 
-// match reports whether (r, sigma2) is coherent with the cached base
-// under the relative tolerance thr.
+// match reports whether (r, sigma2) is coherent with the valid cached
+// base under the relative tolerance thr.
 //
 //flexcore:noalloc
 func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
-	if !c.valid {
-		return false
-	}
 	ds := sigma2 - c.sigma2
 	if ds < 0 {
 		ds = -ds
@@ -67,15 +88,16 @@ func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
 	return similarR(c.r, r, thr)
 }
 
-// store copies (r, sigma2, paths) into the cache-owned arenas and makes
-// them the new reuse base.
-func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum float64) {
+// store copies (r, sigma2, paths) — searched at N_PE npe — into the
+// cache-owned arenas and makes them the new reuse base.
+func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum float64, npe int) {
 	if c.r == nil || c.r.Rows != r.Rows || c.r.Cols != r.Cols {
 		c.r = cmatrix.New(r.Rows, r.Cols)
 	}
 	copy(c.r.Data, r.Data)
 	c.sigma2 = sigma2
 	c.cum = cum
+	c.npe = npe
 	c.paths, c.ranks = copyPaths(paths, c.paths, c.ranks)
 	c.valid = true
 }
@@ -89,6 +111,7 @@ func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum 
 // every re-sent H, not only within one frame. With ReuseThreshold = 0
 // a hit requires a bit-identical (R, σ²), so reuse is provably
 // output-neutral (the same proof as the scalar cache, DESIGN.md §9).
+// A base also serves frames at a lower N_PE (SetNPE) from a prefix.
 //
 // A ReuseState must be installed on at most one detector at a time,
 // and hand-offs between detectors must be externally synchronized
@@ -121,9 +144,9 @@ func (st *ReuseState) Reset() {
 // A subcarrier that hit its own external base keeps it untouched — the
 // base R stays pinned until a miss, matching the scalar cache's
 // semantics — while fresh subcarriers (and within-frame chain hits)
-// store their actual (R, paths). Copies are state-owned, so later
+// store their actual (R, paths, npe). Copies are state-owned, so later
 // frames cannot corrupt a detector's selected slots.
-func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
+func (st *ReuseState) update(frame []prepSlot, sigma2 float64, npe int) {
 	for len(st.slots) < len(frame) {
 		st.slots = append(st.slots, reuseCache{})
 	}
@@ -132,7 +155,7 @@ func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
 		if s.hit && s.base == extBase {
 			continue
 		}
-		st.slots[k].store(s.qr.R, sigma2, s.paths, s.cum)
+		st.slots[k].store(s.qr.R, sigma2, s.paths, s.cum, npe)
 	}
 }
 
@@ -198,15 +221,6 @@ func (d *FlexCore) prepareSlot(s *prepSlot, h *cmatrix.Matrix, sigma2 float64, w
 	NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
 }
 
-// findSlotPaths runs the pre-processing tree search for slot s with the
-// caller-owned finder and stores the result in the slot's arenas.
-//
-//flexcore:noalloc
-func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
-	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold)
-	s.storePaths(paths, stats)
-}
-
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
 // geometry, same noise variance) in one call: the sorted QR and model of
 // every subcarrier, then the pre-processing tree search for every
@@ -221,7 +235,7 @@ func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
 // spans frames: each subcarrier first tries the previous frame's base
 // for the same subcarrier, so a static or slowly-varying channel skips
 // every search on a re-sent H, and the state is re-based on this
-// frame's results afterwards.
+// frame's results afterwards; a base searched at a lower N_PE misses.
 //
 // The hit/miss decisions are made sequentially in subcarrier order over
 // the already-computed R factors, so results are identical for every
@@ -285,7 +299,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		s.base = -1
 		s.stats = PreprocessStats{}
 		if d.opts.PathReuse {
-			if ext != nil && k < len(ext.slots) && ext.slots[k].valid {
+			if ext != nil && k < len(ext.slots) && ext.slots[k].valid && ext.slots[k].npe >= d.npe {
 				d.countSimilarity(n)
 				if ext.slots[k].match(s.qr.R, sigma2, d.opts.ReuseThreshold) {
 					s.hit = true
@@ -315,11 +329,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		p.hs, p.frame, p.miss = nil, nil, nil
 	} else {
 		for _, k := range d.missIdx {
-			if d.useSoA() {
-				d.findSlotPaths32(&frame[k], &d.finder32)
-			} else {
-				d.findSlotPaths(&frame[k], &d.finder)
-			}
+			frame[k].storePaths(d.search(&frame[k].model, &d.finder, &d.finder32))
 		}
 	}
 
@@ -333,10 +343,10 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		s := &frame[k]
 		if s.hit {
 			if s.base == extBase {
-				e := &ext.slots[k]
-				s.hdr, s.ranks = copyPaths(e.paths, s.hdr, s.ranks)
+				var paths []Path
+				paths, s.cum = ext.slots[k].prefix(d.npe, d.useSoA())
+				s.hdr, s.ranks = copyPaths(paths, s.hdr, s.ranks)
 				s.paths = s.hdr
-				s.cum = e.cum
 			} else {
 				b := &frame[s.base]
 				s.paths = b.paths
@@ -357,7 +367,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	}
 	d.ppOps.CumulativeProb = frame[len(frame)-1].cum
 	if d.opts.PathReuse && ext != nil {
-		ext.update(frame, sigma2)
+		ext.update(frame, sigma2, d.npe)
 	}
 	return nil
 }

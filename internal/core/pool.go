@@ -197,18 +197,14 @@ func (p *pool) runPrepModel(w *poolWorker) {
 }
 
 // runPrepPaths runs the pre-processing tree search for the worker's
-// stride of the frame's fresh slots, using the worker's pooled finder.
+// stride of the frame's fresh slots, using the worker's pooled finders.
 //
 //flexcore:noalloc
 func (p *pool) runPrepPaths(w *poolWorker) {
 	d := p.d
 	stride := len(p.workers)
-	soa := d.useSoA()
 	for i := w.id; i < len(p.miss); i += stride {
-		if soa {
-			d.findSlotPaths32(&p.frame[p.miss[i]], &w.finder32)
-		} else {
-			d.findSlotPaths(&p.frame[p.miss[i]], &w.finder)
-		}
+		s := &p.frame[p.miss[i]]
+		s.storePaths(d.search(&s.model, &w.finder, &w.finder32))
 	}
 }

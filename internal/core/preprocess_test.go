@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexcore/internal/channel"
+	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
 )
 
@@ -180,5 +181,62 @@ func TestPreprocessStatsAdd(t *testing.T) {
 	want := PreprocessStats{RealMuls: 15, Expanded: 7, CumulativeProb: 0.5, CacheHits: 3, CacheMisses: 8}
 	if s != want {
 		t.Fatalf("Add produced %+v, want %+v (counters summed, CumulativeProb kept)", s, want)
+	}
+}
+
+// TestFindPathsPrefix pins the property SetNPE and cross-rung reuse
+// rest on: best-first extraction order does not depend on N_PE, so both
+// searches at budget k return exactly the k-prefix of the same search
+// at N_PE 512 — identical Ranks and bit-identical LogP — with or
+// without the a-FlexCore threshold, and a reuse base holding the 512
+// set reproduces the k-search's CumulativeProb bit for bit from that
+// prefix. 15 seeded Rayleigh channels per cell of |Q| ∈ {4, 16, 64}, Nt ∈ 2..8
+// and σ² ∈ {0.01, 0.05, 0.3}.
+func TestFindPathsPrefix(t *testing.T) {
+	type finder struct {
+		name string
+		soa  bool
+		find func(*Model, int, float64) ([]Path, PreprocessStats)
+	}
+	finders := []finder{{"FindPaths", false, FindPaths}, {"FindPaths32", true, FindPaths32}}
+	seeds := 15 // 315 channels per |Q|
+	if testing.Short() {
+		seeds = 2
+	}
+	for _, q := range []int{4, 16, 64} {
+		cons := constellation.MustNew(q)
+		for nt := 2; nt <= 8; nt++ {
+			for _, sigma2 := range []float64{0.01, 0.05, 0.3} {
+				for seed := 0; seed < seeds; seed++ {
+					rng := channel.NewStreamRNG(0x9f1c, uint64(q<<16|nt<<8|seed))
+					qr := cmatrix.SortedQR(channel.Rayleigh(rng, nt, nt), cmatrix.OrderSQRD)
+					m := NewModel(qr.R, sigma2, cons)
+					for _, f := range finders {
+						for _, theta := range []float64{0, 0.95} {
+							full, fullStats := f.find(m, 512, theta)
+							base := reuseCache{valid: true, npe: 512, cum: fullStats.CumulativeProb}
+							base.paths, base.ranks = copyPaths(full, nil, nil)
+							for _, k := range []int{1, 4, 8, 16, 32, 64, 128} {
+								got, stats := f.find(m, k, theta)
+								want, cum := base.prefix(k, f.soa)
+								same := len(got) == len(want)
+								for i := 0; same && i < len(got); i++ {
+									same = equalInts(got[i].Ranks, want[i].Ranks) &&
+										math.Float64bits(got[i].LogP) == math.Float64bits(want[i].LogP)
+								}
+								if !same {
+									t.Fatalf("%s |Q|=%d Nt=%d σ²=%v seed %d θ=%v: N_PE %d is not the %d-prefix of N_PE 512",
+										f.name, q, nt, sigma2, seed, theta, k, k)
+								}
+								if math.Float64bits(stats.CumulativeProb) != math.Float64bits(cum) {
+									t.Fatalf("%s |Q|=%d Nt=%d σ²=%v seed %d θ=%v N_PE %d: CumulativeProb %v, prefix sum %v",
+										f.name, q, nt, sigma2, seed, theta, k, stats.CumulativeProb, cum)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

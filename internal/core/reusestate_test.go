@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -235,5 +236,125 @@ func TestReuseStateHandoff(t *testing.T) {
 	// Steps 2..4 each hit all nSC subcarriers, split across detectors.
 	if ha, hb := a.PreprocessStats().CacheHits, b.PreprocessStats().CacheHits; ha+hb != 3*nSC {
 		t.Fatalf("handoff hits = %d+%d, want %d total", ha, hb, 3*nSC)
+	}
+}
+
+// TestReuseStateAcrossNPE pins reuse across degradation rungs: a base
+// searched at N_PE 64 serves a later N_PE 16 frame (SetNPE) as a hit on
+// every subcarrier, from the first 16 of its paths, and the frame equals
+// a fresh N_PE 16 detector in paths, cumulative probability and
+// decisions; the full-N_PE base survives the degraded frame untouched.
+// A base searched at 16 is a miss for a N_PE 64 frame, which searches
+// again. Runs on both backends.
+func TestReuseStateAcrossNPE(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nr, nt, nSC = 6, 5, 6
+	sigma2 := channel.Sigma2FromSNRdB(14, 1)
+	hs := frameChannels(111, nr, nt, nSC)
+	rng := newRng(112)
+	ys := make([][]complex128, nSC)
+	for k := range ys {
+		ys[k] = transmit(rng, hs[k], cons, randSymbols(rng, cons, nt), sigma2)
+	}
+	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
+		for _, theta := range []float64{0, 0.95} {
+			fc := New(cons, Options{NPE: 64, Threshold: theta, Backend: backend, PathReuse: true})
+			var st ReuseState
+			fc.SetReuseState(&st)
+			refs := map[int]*FlexCore{}
+			for _, npe := range []int{16, 64} {
+				refs[npe] = New(cons, Options{NPE: npe, Threshold: theta, Backend: backend})
+			}
+			// step prepares the frame at npe on fc and checks it against
+			// the fresh reference at the same N_PE, returning the new hits.
+			step := func(npe int) int64 {
+				t.Helper()
+				if got := fc.SetNPE(npe); got != npe {
+					t.Fatalf("SetNPE(%d) = %d", npe, got)
+				}
+				before := fc.PreprocessStats().CacheHits
+				got := detectFrame(t, fc, hs, ys, sigma2)
+				want := detectFrame(t, refs[npe], hs, ys, sigma2)
+				for k := range hs {
+					fc.Select(k)
+					refs[npe].Select(k)
+					if !samePaths(fc.Paths(), refs[npe].Paths()) {
+						t.Fatalf("%v θ=%.2f N_PE %d subcarrier %d: paths differ from a fresh detector", backend, theta, npe, k)
+					}
+					if a, b := fc.PreprocessStats().CumulativeProb, refs[npe].PreprocessStats().CumulativeProb; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%v θ=%.2f N_PE %d subcarrier %d: CumulativeProb %v, fresh %v", backend, theta, npe, k, a, b)
+					}
+					if !equalInts(got[k], want[k]) {
+						t.Fatalf("%v θ=%.2f N_PE %d subcarrier %d: decisions %v, fresh %v", backend, theta, npe, k, got[k], want[k])
+					}
+				}
+				return fc.PreprocessStats().CacheHits - before
+			}
+			if h := step(64); h != 0 {
+				t.Fatalf("first frame hit %d times", h)
+			}
+			if h := step(16); h != nSC {
+				t.Fatalf("%v θ=%.2f: N_PE 16 frame on a N_PE 64 base hit %d times, want %d", backend, theta, h, nSC)
+			}
+			if h := step(64); h != nSC {
+				t.Fatalf("%v θ=%.2f: N_PE 64 frame after a degraded hit hit %d times, want %d (base kept)", backend, theta, h, nSC)
+			}
+			st.Reset()
+			if h := step(16); h != 0 {
+				t.Fatalf("frame after Reset hit %d times", h)
+			}
+			if h := step(64); h != 0 {
+				t.Fatalf("%v θ=%.2f: N_PE 64 frame on a N_PE 16 base hit %d times, want 0", backend, theta, h)
+			}
+			if h := step(16); h != nSC {
+				t.Fatalf("%v θ=%.2f: N_PE 16 frame on the re-searched N_PE 64 base hit %d times, want %d", backend, theta, h, nSC)
+			}
+			fc.Close()
+			for _, r := range refs {
+				r.Close()
+			}
+		}
+	}
+}
+
+// TestPrepareReuseAcrossNPE is the scalar Prepare twin of
+// TestReuseStateAcrossNPE: the detector-internal cache records the N_PE
+// of its base, serves lower budgets from a prefix and misses higher
+// ones.
+func TestPrepareReuseAcrossNPE(t *testing.T) {
+	cons := constellation.MustNew(16)
+	sigma2 := channel.Sigma2FromSNRdB(14, 1)
+	hs := frameChannels(121, 6, 5, 2)
+	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
+		fc := New(cons, Options{NPE: 64, Backend: backend, PathReuse: true})
+		refs := map[int]*FlexCore{16: New(cons, Options{NPE: 16, Backend: backend}), 64: New(cons, Options{NPE: 64, Backend: backend})}
+		for i, c := range []struct {
+			h       int
+			npe     int
+			wantHit bool
+		}{
+			{0, 64, false}, // fresh base at 64
+			{0, 16, true},  // prefix of the 64 base
+			{0, 64, true},  // the base is kept
+			{1, 16, false}, // new channel: base at 16
+			{1, 64, false}, // a 16 base cannot serve 64
+			{1, 16, true},
+		} {
+			fc.SetNPE(c.npe)
+			before := fc.PreprocessStats().CacheHits
+			if err := fc.Prepare(hs[c.h], sigma2); err != nil {
+				t.Fatal(err)
+			}
+			ref := refs[c.npe]
+			if err := ref.Prepare(hs[c.h], sigma2); err != nil {
+				t.Fatal(err)
+			}
+			if hit := fc.PreprocessStats().CacheHits > before; hit != c.wantHit {
+				t.Fatalf("%v step %d (N_PE %d): hit = %v, want %v", backend, i, c.npe, hit, c.wantHit)
+			}
+			if !samePaths(fc.Paths(), ref.Paths()) || math.Float64bits(fc.PreprocessStats().CumulativeProb) != math.Float64bits(ref.PreprocessStats().CumulativeProb) {
+				t.Fatalf("%v step %d (N_PE %d): prepared state differs from a fresh detector", backend, i, c.npe)
+			}
+		}
 	}
 }

@@ -126,12 +126,3 @@ func laneBlock(id, nw, P int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// findSlotPaths32 is the SoA-backend twin of findSlotPaths: the float32
-// packed-key search into the slot's arenas.
-//
-//flexcore:noalloc
-func (d *FlexCore) findSlotPaths32(s *prepSlot, f *pathFinder32) {
-	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold)
-	s.storePaths(paths, stats)
-}

@@ -16,7 +16,10 @@ import (
 // it through process (PrepareAll/Select + DetectBatch, response
 // streaming, framing, metrics). Everything on this path is task- or
 // shard-owned and reused — the same discipline the core detector's
-// alloc gates enforce, extended through the serving layer.
+// alloc gates enforce, extended through the serving layer. The reuse
+// leg also cycles the task through every rung of a {8, 4} ladder, so
+// degraded frames — which serve a prefix of the user's full-N_PE reuse
+// bases on the same detector — are held to the same gate.
 func TestServeHotLoopZeroAllocs(t *testing.T) {
 	cons, err := constellation.New(e2eQAM)
 	if err != nil {
@@ -33,7 +36,8 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			srv, err := NewServer(Config{
-				Shards: 1,
+				Shards:        1,
+				DegradeLadder: []int{8, 4},
 				DetectorFactory: func() detector.Detector {
 					opts := core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(t)}
 					if reuse {
@@ -63,11 +67,16 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 			if reuse {
 				tk.user = u
 			}
+			frames := 0
 			hot := func() {
 				if err := tk.req.Decode(payload); err != nil {
 					t.Fatal(err)
 				}
 				tk.enq = time.Now()
+				if reuse {
+					tk.rung = frames % 3
+				}
+				frames++
 				srv.process(w, tk)
 			}
 			// Warm-up: first iterations grow the request arenas, the response
@@ -80,8 +89,14 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 				t.Fatalf("serve hot loop allocates %.1f objects per frame, want 0", allocs)
 			}
 			if reuse {
-				if hits := w.det.(*core.FlexCore).PreprocessStats().CacheHits; hits == 0 {
-					t.Fatal("reuse leg never hit the per-user cross-frame cache")
+				// Every frame after the first is a hit on all subcarriers,
+				// so a degraded frame without hits would show as a shortfall.
+				want := int64(frames-1) * int64(tk.req.Subcarriers)
+				if hits := w.det.(*core.FlexCore).PreprocessStats().CacheHits; hits != want {
+					t.Fatalf("reuse leg: %d cache hits over %d frames, want %d (degraded frames must hit too)", hits, frames, want)
+				}
+				if srv.Metrics().DegradedFrames == 0 {
+					t.Fatal("reuse leg never served a degraded frame")
 				}
 			}
 			srv.release(tk)

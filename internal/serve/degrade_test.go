@@ -11,18 +11,20 @@ import (
 	"flexcore/internal/detector"
 )
 
-// gatedDetector wraps a real detector, blocking the first Detect call
-// until its gate opens — it lets a test park the shard worker inside a
-// real frame so the admission queue fills to a known depth, then
-// observe how the pressure controller degrades the backlog.
+// gatedDetector wraps a real FlexCore, blocking the first DetectBatch
+// call until its gate opens — it lets a test park the shard worker
+// inside a real frame so the admission queue fills to a known depth,
+// then observe how the pressure controller degrades the backlog. Every
+// other method (PrepareAll/Select, SetNPE, SetReuseState) is the
+// wrapped detector's, so the worker serves all rungs on it.
 type gatedDetector struct {
-	detector.Detector
+	*core.FlexCore
 	started chan struct{}
 	gate    chan struct{}
 	once    sync.Once
 }
 
-func (d *gatedDetector) Detect(y []complex128) []int {
+func (d *gatedDetector) DetectBatch(ys [][]complex128) [][]int {
 	d.once.Do(func() {
 		select {
 		case d.started <- struct{}{}:
@@ -30,7 +32,7 @@ func (d *gatedDetector) Detect(y []complex128) []int {
 		}
 		<-d.gate
 	})
-	return d.Detector.Detect(y)
+	return d.FlexCore.DetectBatch(ys)
 }
 
 // TestDegradationLadderBitIdentical is the degradation tentpole
@@ -38,8 +40,9 @@ func (d *gatedDetector) Detect(y []complex128) []int {
 // frames fill a depth-8 queue, so the dequeue-time pressure controller
 // must walk them down the {8, 4} ladder deterministically — and every
 // degraded frame's decisions must be bit-identical to the offline
-// Prepare+Detect at exactly the N_PE the response reports. Runs on
-// both FLEXCORE_BACKEND legs via envBackend.
+// Prepare+Detect at exactly the N_PE the response reports. The worker
+// holds one detector and serves every rung on it through SetNPE. Runs
+// on both FLEXCORE_BACKEND legs via envBackend.
 func TestDegradationLadderBitIdentical(t *testing.T) {
 	cons, err := constellation.New(e2eQAM)
 	if err != nil {
@@ -47,7 +50,7 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 	}
 	backend := envBackend(t)
 	gated := &gatedDetector{
-		Detector: core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend}),
+		FlexCore: core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend}),
 		started:  make(chan struct{}, 1),
 		gate:     make(chan struct{}),
 	}
@@ -58,9 +61,6 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 		DegradeLadder:   []int{8, 4},
 		DegradeStart:    0.25,
 		DetectorFactory: func() detector.Detector { return gated },
-		DegradeFactory: func(npe int) detector.Detector {
-			return core.New(cons, core.Options{NPE: npe, Workers: 1, Backend: backend})
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,21 +161,28 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDegradeConfigValidation pins the config contract: a ladder
-// without a factory, and a ladder that is not strictly decreasing,
-// are construction-time errors, not silent misconfiguration.
+// TestDegradeConfigValidation pins the config contract: a ladder that
+// is not strictly decreasing, a non-positive rung, a rung at or above
+// the detector's full N_PE (which would "degrade" upward and count as
+// degraded) and a ladder on a detector without SetNPE are
+// construction-time errors, not silent misconfiguration.
 func TestDegradeConfigValidation(t *testing.T) {
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flex := func() detector.Detector { return core.New(cons, core.Options{NPE: 64, Workers: 1}) }
 	slow := newSlowDetector()
 	close(slow.gate)
-	factory := func() detector.Detector { return slow }
-	degrade := func(npe int) detector.Detector { return slow }
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"ladder without factory", Config{DetectorFactory: factory, DegradeLadder: []int{8, 4}}},
-		{"non-decreasing ladder", Config{DetectorFactory: factory, DegradeFactory: degrade, DegradeLadder: []int{4, 8}}},
-		{"non-positive rung", Config{DetectorFactory: factory, DegradeFactory: degrade, DegradeLadder: []int{8, 0}}},
+		{"rung above full N_PE", Config{DetectorFactory: flex, DegradeLadder: []int{128, 32}}},
+		{"rung equal to full N_PE", Config{DetectorFactory: flex, DegradeLadder: []int{64, 32}}},
+		{"detector without SetNPE", Config{DetectorFactory: func() detector.Detector { return slow }, DegradeLadder: []int{8, 4}}},
+		{"non-decreasing ladder", Config{DetectorFactory: flex, DegradeLadder: []int{4, 8}}},
+		{"non-positive rung", Config{DetectorFactory: flex, DegradeLadder: []int{8, 0}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -188,14 +195,15 @@ func TestDegradeConfigValidation(t *testing.T) {
 
 // TestRungMapping pins the pressure controller's depth→rung curve.
 func TestRungMapping(t *testing.T) {
-	slow := newSlowDetector()
-	close(slow.gate)
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := NewServer(Config{
 		QueueDepth:      8,
 		DegradeStart:    0.25,
 		DegradeLadder:   []int{8, 4},
-		DetectorFactory: func() detector.Detector { return slow },
-		DegradeFactory:  func(npe int) detector.Detector { return slow },
+		DetectorFactory: func() detector.Detector { return core.New(cons, core.Options{NPE: e2eNPE, Workers: 1}) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,5 +218,86 @@ func TestRungMapping(t *testing.T) {
 		if got := srv.rung(depth); got != rung {
 			t.Fatalf("rung(depth=%d) = %d, want %d", depth, got, rung)
 		}
+	}
+}
+
+// TestDegradedFrameKeepsReuse pins reuse across rungs on the serve
+// path: a static-channel user's frames are driven through process at
+// rungs 2 → full → 1 → full → 2. The first frame searches at N_PE 4,
+// and that base cannot serve the full-N_PE frame, which searches again;
+// every later frame, degraded or not, is a cross-frame reuse hit on all
+// subcarriers (a degraded rung serves a prefix of the full-N_PE base).
+// Each response is bit-identical to a fresh offline detector at the
+// N_PE it reports.
+func TestDegradedFrameKeepsReuse(t *testing.T) {
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder := []int{8, 4}
+	srv, err := NewServer(Config{
+		Shards:        1,
+		DegradeLadder: ladder,
+		DetectorFactory: func() detector.Detector {
+			return core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(t), PathReuse: true})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	// Drive process directly: the shard worker sits idle on its queue,
+	// so the test owns the detector without racing it.
+	w := srv.shards[0].workers[0]
+	fc := w.det.(*core.FlexCore)
+	tk := srv.taskPool.Get().(*task)
+	defer srv.release(tk)
+	tk.user = &userState{id: 5}
+	var resp DetectResponse
+	for f, rung := range []int{2, 0, 1, 0, 2} {
+		fillFrameCoherent(t, &tk.req, 5, uint64(f+1), 0)
+		tk.rung = rung
+		tk.enq = time.Now()
+		before := fc.PreprocessStats().CacheHits
+		srv.process(w, tk)
+		hits := fc.PreprocessStats().CacheHits - before
+		want := int64(e2eK)
+		if f < 2 {
+			want = 0
+		}
+		if hits != want {
+			t.Fatalf("frame %d at rung %d: %d reuse hits, want %d", f+1, rung, hits, want)
+		}
+		_, payload, _, err := DecodeFrame(tk.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Decode(payload); err != nil {
+			t.Fatal(err)
+		}
+		wantNPE, eff := 0, e2eNPE
+		if rung > 0 {
+			wantNPE, eff = ladder[rung-1], ladder[rung-1]
+		}
+		if resp.Status != StatusOK || resp.ServedNPE != wantNPE {
+			t.Fatalf("frame %d: status %v served N_PE %d, want ok at %d", f+1, resp.Status, resp.ServedNPE, wantNPE)
+		}
+		ref := offlineDecisionsNPE(t, cons, &tk.req, eff)
+		if len(resp.Decisions) != len(ref) {
+			t.Fatalf("frame %d: %d decisions, want %d", f+1, len(resp.Decisions), len(ref))
+		}
+		for i, want := range ref {
+			if int(resp.Decisions[i]) != want {
+				t.Fatalf("frame %d decision %d: served %d, offline at N_PE=%d says %d", f+1, i, resp.Decisions[i], eff, want)
+			}
+		}
+	}
+	if got := srv.Metrics().DegradedFrames; got != 3 {
+		t.Fatalf("degraded_frames %d, want 3", got)
 	}
 }

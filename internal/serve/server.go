@@ -57,16 +57,11 @@ type Config struct {
 	// flexibility knob entering the serve path as load shedding: lowering
 	// N_PE only relaxes the decision metric (the PR 2 monotonicity
 	// invariant), so a degraded frame is a coarser answer, never a
-	// corrupted one. Empty disables degradation. Entries must be positive
-	// and strictly decreasing; DegradeFactory is then required.
+	// corrupted one. Each worker serves every rung on its one detector
+	// through SetNPE (DESIGN.md §14.2), so degraded frames keep per-user
+	// reuse. Empty disables degradation. Entries must be positive,
+	// strictly decreasing and below the detector's full N_PE.
 	DegradeLadder []int
-	// DegradeFactory builds one detector at the given rung N_PE (one per
-	// worker per rung, same statefulness rule as DetectorFactory).
-	// Degraded frames never touch the per-user cross-frame reuse state:
-	// cached candidate paths are N_PE-specific, and keeping the rungs
-	// isolated preserves bit-identity with offline detection at both the
-	// full and the degraded N_PE.
-	DegradeFactory func(npe int) detector.Detector
 	// DegradeStart is the queue-fill fraction (waiting/QueueDepth) at
 	// which degradation begins; the ladder's rungs divide the remaining
 	// fill range evenly. Default 0.5.
@@ -159,24 +154,13 @@ type shard struct {
 	waitHWM int          // high-watermark of waiting since start
 }
 
-// lane is one degraded detection rung of a worker: its own detector at
-// the rung's N_PE plus the FrameDetector wrapping it. Lanes never see
-// per-user reuse state (cached candidate paths are N_PE-specific).
-type lane struct {
-	npe int
+// shardWorker is one worker goroutine's state: its own detector and
+// FrameDetector (detectors are stateful), the write-coalescing dirty
+// list, and the op counters it publishes after every frame.
+type shardWorker struct {
 	det detector.Detector
 	fd  *phy.FrameDetector
-}
-
-// shardWorker is one worker goroutine's state: its own detector and
-// FrameDetector (detectors are stateful), the degradation lanes, the
-// write-coalescing dirty list, and the op counters it publishes after
-// every frame.
-type shardWorker struct {
-	det     detector.Detector
-	fd      *phy.FrameDetector
-	reuseOK bool   // detector supports external reuse keying
-	lanes   []lane // one per DegradeLadder rung, full→coarse
+	npe interface{ SetNPE(int) int } // per-frame N_PE (nil without a DegradeLadder)
 
 	// dirty lists the connections holding buffered responses this worker
 	// has not flushed yet. Flushed before the worker blocks on an empty
@@ -233,16 +217,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DetectorFactory == nil {
 		return nil, fmt.Errorf("serve: Config.DetectorFactory is required")
 	}
-	if len(cfg.DegradeLadder) > 0 {
-		if cfg.DegradeFactory == nil {
-			return nil, fmt.Errorf("serve: Config.DegradeFactory is required with a DegradeLadder")
-		}
-		for i, npe := range cfg.DegradeLadder {
-			if npe <= 0 || (i > 0 && npe >= cfg.DegradeLadder[i-1]) {
-				return nil, fmt.Errorf("serve: Config.DegradeLadder must be positive and strictly decreasing")
-			}
-		}
-	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
@@ -265,20 +239,46 @@ func NewServer(cfg Config) (*Server, error) {
 			users:    make(map[uint64]*userState),
 		}
 		for j := range sh.workers {
-			det := cfg.DetectorFactory()
-			w := &shardWorker{det: det, fd: phy.NewFrameDetector(det)}
-			w.reuseOK = w.fd.SetReuseState(nil)
-			for _, npe := range cfg.DegradeLadder {
-				ld := cfg.DegradeFactory(npe)
-				w.lanes = append(w.lanes, lane{npe: npe, det: ld, fd: phy.NewFrameDetector(ld)})
+			w, err := newShardWorker(cfg.DetectorFactory(), cfg.DegradeLadder)
+			if err != nil {
+				return nil, err
 			}
 			sh.workers[j] = w
-			s.workerWG.Add(1)
-			go s.runWorker(sh, w)
 		}
 		s.shards[i] = sh
 	}
+	for _, sh := range s.shards {
+		for _, w := range sh.workers {
+			s.workerWG.Add(1)
+			go s.runWorker(sh, w)
+		}
+	}
 	return s, nil
+}
+
+// newShardWorker wraps det for one worker and checks that it serves
+// every ladder rung as given: positive (SetNPE takes it unclamped),
+// strictly decreasing and below the full N_PE — a rung at or above it
+// would "degrade" upward.
+func newShardWorker(det detector.Detector, ladder []int) (*shardWorker, error) {
+	w := &shardWorker{det: det, fd: phy.NewFrameDetector(det)}
+	if len(ladder) == 0 {
+		return w, nil
+	}
+	ns, ok := det.(interface{ SetNPE(int) int })
+	if !ok {
+		return nil, fmt.Errorf("serve: Config.DegradeLadder needs a detector with SetNPE, %s has none", det.Name())
+	}
+	prev := ns.SetNPE(0) // the full N_PE
+	for _, npe := range ladder {
+		if npe >= prev || ns.SetNPE(npe) != npe {
+			return nil, fmt.Errorf("serve: Config.DegradeLadder %v must be positive, strictly decreasing and below the full N_PE %d", ladder, ns.SetNPE(0))
+		}
+		prev = npe
+	}
+	ns.SetNPE(0)
+	w.npe = ns
+	return w, nil
 }
 
 // shardIndex maps a user ID to its shard: a SplitMix64 finalizer
@@ -323,11 +323,6 @@ func (s *Server) runWorker(sh *shard, w *shardWorker) {
 	s.flushDirty(w)
 	if c, ok := w.det.(interface{ Close() }); ok {
 		c.Close()
-	}
-	for i := range w.lanes {
-		if c, ok := w.lanes[i].det.(interface{ Close() }); ok {
-			c.Close()
-		}
 	}
 }
 
@@ -427,37 +422,38 @@ func (s *Server) expire(t *task) {
 }
 
 // process runs the ingest→detect→respond hot path for one admitted
-// task: install the user's cross-frame reuse bases, detect every
-// subcarrier burst through the worker's FrameDetector, streaming the
-// decisions straight into the response payload, frame it, publish the
-// worker's op counters and record the latency. Everything it touches is
-// task-, user- or worker-owned and reused — the AllocsPerRun gate
-// (alloc_test.go) pins this path at 0 allocs/op in steady state.
+// task: set the detector's N_PE for the task's ladder rung, install the
+// user's cross-frame reuse bases, detect every subcarrier burst through
+// the worker's FrameDetector, streaming the decisions straight into the
+// response payload, frame it, publish the worker's op counters and
+// record the latency. Everything it touches is task-, user- or
+// worker-owned and reused — the AllocsPerRun gate (alloc_test.go) pins
+// this path, degraded frames included, at 0 allocs/op.
 //
 //flexcore:noalloc
 func (s *Server) process(w *shardWorker, t *task) {
 	q := &t.req
-	fd, npe := w.fd, 0
-	if t.rung > 0 && len(w.lanes) > 0 {
-		// Degraded rung: detect on the rung's own lane at its lower N_PE
-		// and report it in the response. Lanes never touch the per-user
-		// reuse state — cached candidate paths are N_PE-specific.
-		ln := &w.lanes[t.rung-1]
-		fd, npe = ln.fd, ln.npe
+	npe := 0
+	if t.rung > 0 {
+		// Degraded rung: the same detector searches (or reuses a prefix
+		// of) fewer paths, and the response reports the N_PE served.
+		npe = w.npe.SetNPE(s.cfg.DegradeLadder[t.rung-1])
 		s.met.degraded.Add(1)
-	} else if w.reuseOK && t.user != nil {
+	}
+	if t.user != nil {
 		w.fd.SetReuseState(&t.user.reuse)
 	}
 	t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusOK, npe, q.Nt, q.Subcarriers, q.Symbols)
-	if err := fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
+	if err := w.fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
 		// Geometry was validated at decode time, so detector errors are
 		// unexpected — answer them as an explicit rejection, never a
 		// silent drop.
 		t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusInvalid, 0, 0, 0, 0)
 		s.met.rejectedInvalid.Add(1)
 	}
-	if npe == 0 && w.reuseOK {
-		w.fd.SetReuseState(nil)
+	w.fd.SetReuseState(nil)
+	if npe != 0 {
+		w.npe.SetNPE(0)
 	}
 	t.wire = AppendFrame(t.wire[:0], MsgResult, t.payload)
 	s.publish(w)
@@ -539,16 +535,6 @@ func (s *Server) publish(w *shardWorker) {
 		pre = pr.PreprocessStats()
 	}
 	activeSum, activeN := w.fd.ActivePEs()
-	for i := range w.lanes {
-		ln := &w.lanes[i]
-		ops.Add(ln.det.OpCount())
-		if pr, ok := ln.det.(preprocessReporter); ok {
-			pre.Add(pr.PreprocessStats())
-		}
-		as, an := ln.fd.ActivePEs()
-		activeSum += as
-		activeN += an
-	}
 	w.mu.Lock()
 	w.ops = ops
 	w.pre = pre
@@ -890,7 +876,6 @@ func (s *Server) trackConn(c io.Closer) bool {
 	return true
 }
 
-// untrackConn removes a closed connection.
 // forceClosed reports whether Shutdown has entered its force-close
 // phase (the connection table is retired before the conns are closed,
 // so any read error surfacing afterwards is server-initiated).
@@ -900,6 +885,7 @@ func (s *Server) forceClosed() bool {
 	return s.conns == nil
 }
 
+// untrackConn removes a closed connection.
 func (s *Server) untrackConn(c io.Closer) {
 	s.connMu.Lock()
 	delete(s.conns, c)
