@@ -94,6 +94,7 @@ type latSummary struct {
 // degraded ones; FramesDegraded breaks out the responses the pressure
 // ladder served at a reduced N_PE, FramesExpired the StatusExpired
 // sheds, FramesRetried the overloaded re-submissions (closed loop).
+// OpenLoop reports each connection's pacing (open loop).
 type result struct {
 	Config          map[string]any        `json:"config"`
 	ElapsedSeconds  float64               `json:"elapsed_seconds"`
@@ -109,6 +110,7 @@ type result struct {
 	LatencyP95Us    float64               `json:"latency_p95_micros"`
 	LatencyP99Us    float64               `json:"latency_p99_micros"`
 	LatencyByStatus map[string]latSummary `json:"latency_by_status,omitempty"`
+	OpenLoop        []openLoopStats       `json:"open_loop,omitempty"`
 	Server          *serve.Snapshot       `json:"server,omitempty"`
 }
 
@@ -194,6 +196,10 @@ func main() {
 	for status, s := range res.LatencyByStatus {
 		fmt.Printf("flexload: latency[%s] µs — n %d, mean %.0f, p50 %.0f, p95 %.0f, p99 %.0f\n",
 			status, s.Count, s.MeanUs, s.P50Us, s.P95Us, s.P99Us)
+	}
+	for _, o := range res.OpenLoop {
+		fmt.Printf("flexload: open loop conn %d — sent %d at %.0f frames/sec (target %.0f), %d late\n",
+			o.Conn, o.Sent, o.SendRateFPS, o.TargetFPS, o.LateSends)
 	}
 	if res.Server != nil {
 		var hits, misses int64
@@ -315,7 +321,19 @@ type connStats struct {
 	retried            int64
 	lat                []time.Duration
 	latBy              map[serve.Status][]time.Duration
+	pace               openLoopStats // open loop only
 	err                error
+}
+
+// openLoopStats is how closely one connection's open loop kept its
+// schedule: a connection that falls behind sends late and, since it
+// never bursts to catch up, below its target rate.
+type openLoopStats struct {
+	Conn        int     `json:"conn"`
+	TargetFPS   float64 `json:"target_fps"`
+	SendRateFPS float64 `json:"send_rate_fps"`
+	Sent        int64   `json:"sent"`
+	LateSends   int64   `json:"late_sends"`
 }
 
 // record books one finalized response: overall and per-status latency,
@@ -410,6 +428,10 @@ func run(c *config) (*result, error) {
 		res.FramesExpired += stats[i].expired
 		res.FramesDegraded += stats[i].degraded
 		res.FramesRetried += stats[i].retried
+		if c.rate > 0 {
+			stats[i].pace.Conn = i
+			res.OpenLoop = append(res.OpenLoop, stats[i].pace)
+		}
 		all = append(all, stats[i].lat...)
 		for status, lats := range stats[i].latBy {
 			byStatus[status] = append(byStatus[status], lats...)
@@ -614,7 +636,10 @@ func openLoopConn(c *config, cl *serve.Client, users []*user, st *connStats) err
 		sendAt[key{q.UserID, q.FrameID}] = time.Now()
 		st.sent++
 		mu.Unlock()
-		return cl.Queue(&q)
+		if err := cl.Queue(&q); err != nil {
+			return err
+		}
+		return cl.Flush()
 	}
 	var resp serve.DetectResponse
 	recv := func() error {
@@ -640,15 +665,21 @@ func openLoopConn(c *config, cl *serve.Client, users []*user, st *connStats) err
 		mu.Unlock()
 		return nil
 	}
-	return openLoop(c, cl, send, recv)
+	var err error
+	st.pace, err = openLoop(c, send, recv)
+	return err
 }
 
 // openLoop paces this connection's share of the aggregate target rate
 // until the run duration elapses, with a concurrent reader recording
 // latencies as responses arrive (a lazily-read response would otherwise
 // charge client-side batching to the server), then drains what is still
-// outstanding.
-func openLoop(c *config, cl *serve.Client, send func() error, recv func() error) error {
+// outstanding. send writes one frame to the wire. A pacer that falls
+// behind sends its next frame at once and restarts its schedule from
+// there instead of bursting to catch up, so the slots it missed are
+// never sent; the returned stats count those late sends and give the
+// rate actually achieved.
+func openLoop(c *config, send func() error, recv func() error) (openLoopStats, error) {
 	interval := time.Duration(float64(time.Second) * float64(c.conns) / c.rate)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -684,29 +715,33 @@ func openLoop(c *config, cl *serve.Client, send func() error, recv func() error)
 			}
 		}
 	}()
-	deadline := time.Now().Add(c.duration)
-	nextSend := time.Now()
+	pace := openLoopStats{TargetFPS: c.rate / float64(c.conns)}
+	begin := time.Now()
+	deadline := begin.Add(c.duration)
+	nextSend := begin
+	late := false // the next send is past its due time
 	for time.Now().Before(deadline) {
 		if err := send(); err != nil {
 			close(stop)
 			<-readerErr
-			return err
-		}
-		if err := cl.Flush(); err != nil {
-			close(stop)
-			<-readerErr
-			return err
+			return pace, err
 		}
 		sent.Add(1)
+		if late {
+			pace.LateSends++
+		}
 		nextSend = nextSend.Add(interval)
-		if d := time.Until(nextSend); d > 0 {
-			time.Sleep(d)
-		} else {
+		d := time.Until(nextSend)
+		if late = d <= 0; late {
 			nextSend = time.Now() // behind schedule: don't burst to catch up
+		} else {
+			time.Sleep(d)
 		}
 	}
+	pace.Sent = sent.Load()
+	pace.SendRateFPS = float64(pace.Sent) / time.Since(begin).Seconds()
 	close(stop)
-	return <-readerErr
+	return pace, <-readerErr
 }
 
 func fatal(err error) {

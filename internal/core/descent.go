@@ -142,13 +142,14 @@ func (d *FlexCore) planRefresh() {
 // effective received point (Eq. 5) with the folded multiplier and picks
 // the rank[i]-th closest symbol. A candidate outside the constellation
 // saturates the slicer per axis (default) or deactivates the path
-// (StrictDeactivation, the paper's literal §3.2 wording); walk returns
-// the level it deactivated at, or −1 when the path reached its leaf with
-// distance s.ped[0]. ExactSlicer slices the divided point with the
-// sort-based exact lookup instead. The plan must not be degenerate.
+// (StrictDeactivation, the paper's literal §3.2 wording); a partial
+// distance above bound prunes it (DESIGN.md §15.6). walk returns the
+// level it deactivated or was pruned at, or −1 when the path reached its
+// leaf with distance s.ped[0]. ExactSlicer slices the divided point with
+// the sort-based exact lookup instead. The plan must not be degenerate.
 //
 //flexcore:noalloc
-func (d *FlexCore) walk(yb []complex128, ranks []int, from int, s *scratch) (dead int) {
+func (d *FlexCore) walk(yb []complex128, ranks []int, from int, bound float64, s *scratch) (dead int) {
 	r := d.qr.R
 	w := d.plan.w
 	exact := d.opts.ExactSlicer
@@ -170,6 +171,9 @@ func (d *FlexCore) walk(yb []complex128, ranks []int, from int, s *scratch) (dea
 		s.idx[i] = k
 		s.sym[i] = q
 		s.ped[i] = s.ped[i+1] + cmatrix.PEDIncrement(b, rii, q)
+		if s.ped[i] > bound {
+			return i
+		}
 	}
 	return -1
 }
@@ -182,12 +186,14 @@ func (d *FlexCore) walk(yb []complex128, ranks []int, from int, s *scratch) (dea
 // of the block survives. The first position restarts at the top, so
 // any contiguous block can run on its own scratch. Under
 // StrictDeactivation a dead node kills its whole subtree: the paths
-// that share it are skipped without a walk.
+// that share it are skipped without a walk. A node whose partial
+// distance already exceeds the block's best leaf is dead the same way,
+// whether the walk meets it or a later path would restart below it.
 //
 //flexcore:noalloc
 func (d *FlexCore) descend(yb []complex128, lo, hi int, s *scratch) (win int, ped float64) {
 	win, ped = -1, math.Inf(1)
-	dead := -1 // level at which the walked prefix deactivated, −1 while alive
+	dead := -1 // level at which the walked prefix deactivated or was pruned, −1 while alive
 	for pos, st := range d.plan.steps[lo:hi] {
 		from := int(st.from)
 		if pos == 0 {
@@ -196,7 +202,11 @@ func (d *FlexCore) descend(yb []complex128, lo, hi int, s *scratch) (win int, pe
 		if dead > from {
 			continue
 		}
-		if dead = d.walk(yb, d.paths[st.path].Ranks, from, s); dead >= 0 {
+		if s.ped[from+1] > ped {
+			dead = from + 1
+			continue
+		}
+		if dead = d.walk(yb, d.paths[st.path].Ranks, from, ped, s); dead >= 0 {
 			continue
 		}
 		p := int(st.path)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,21 +142,22 @@ func checkAgainstOracle(t *testing.T, d *FlexCore, ys [][]complex128, what strin
 }
 
 // TestDescentMatchesPerPathOracle is the bit-identity property of the
-// shared-prefix, division-free descent: across 300 seeded Rayleigh
-// channels per geometry (2×2, 4×4, 8×8, 16-QAM, three noise levels),
-// N_PE ∈ {1, 8, 64, 512}, clamped and strict slicing and Workers ∈
-// {1, 3}, every decision, winning path, winning distance and fallback
-// count equals the per-path oracle's on both the Detect and the
-// DetectBatch route. The corpus must reach the fallback (strict slicing
-// at high noise deactivates every path of small N_PE), so that branch
-// is compared too.
+// shared-prefix, division-free, bounded descent: across 400 seeded
+// Rayleigh channels per geometry (2×2, 4×4, 8×8, 16-QAM, four noise
+// levels), N_PE ∈ {1, 8, 64, 512}, clamped and strict slicing and
+// Workers ∈ {1, 3}, every decision, winning path, winning distance and
+// fallback count equals the per-path oracle's on both the Detect and
+// the DetectBatch route. At σ² = 0.001 nearly every path that leaves
+// the winner's prefix is pruned at its restart node. The corpus must
+// reach the fallback (strict slicing at high noise deactivates every
+// path of small N_PE), so that branch is compared too.
 func TestDescentMatchesPerPathOracle(t *testing.T) {
-	channels := 300
+	channels := 400
 	if testing.Short() {
-		channels = 30
+		channels = 40
 	}
 	cons := constellation.MustNew(16)
-	sigmas := []float64{0.01, 0.05, 0.3}
+	sigmas := []float64{0.001, 0.01, 0.05, 0.3}
 	var vectors, fallbacks int64
 	for _, nt := range []int{2, 4, 8} {
 		var dets []*FlexCore
@@ -226,28 +228,116 @@ func TestDescentMatchesOracleAfterSelect(t *testing.T) {
 }
 
 // TestDescentTieGoesToLowestPathIndex builds two paths whose leaves are
-// bit-identical — both ranks saturate to the same corner symbol for a
-// point far outside the constellation — and orders them so the
-// lexicographic walk meets the higher path index first. The lower index
-// must still win, on the sequential descent and on the path fan-out.
+// bit-identical and orders them so the lexicographic walk meets the
+// higher path index first. The lower index must still win, on the
+// sequential descent and on the path fan-out (Workers 3 puts each path in
+// its own block, so the merge decides), although the running best already
+// equals its leaf when the walk reaches it:
+//   - "one level": both ranks saturate to the same corner symbol for a
+//     point far outside the constellation;
+//   - "saturated": the same below a shared top level, so the bound meets
+//     the tie on the walk;
+//   - "absorbed": the top level's distance is so large that every bottom
+//     increment rounds away, so the shared prefix node already equals
+//     the best leaf when the second path restarts below it.
 func TestDescentTieGoesToLowestPathIndex(t *testing.T) {
 	cons := constellation.MustNew(16)
-	y := []complex128{complex(10, 10)}
-	for _, workers := range []int{1, 3} {
-		d := New(cons, Options{NPE: 2, Workers: workers})
-		defer d.Close()
-		if err := d.Prepare(diagMatrix([]float64{1}), 0.05); err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		name           string
+		y              []complex128 // received point per level, bottom first
+		ranks0, ranks1 []int        // Ranks of paths 0 and 1
+		prefixTies     bool         // the shared prefix node equals the leaf
+	}{
+		{"one level", []complex128{complex(10, 10)}, []int{3}, []int{2}, false},
+		{"saturated", []complex128{complex(10, 10), complex(0.1, 0.2)}, []int{3, 1}, []int{2, 1}, false},
+		{"absorbed", []complex128{complex(0.1, 0.2), complex(1e9, 1e9)}, []int{2, 1}, []int{1, 1}, true},
+	}
+	for _, tc := range cases {
+		n := len(tc.y)
+		gains := make([]float64, n)
+		for i := range gains {
+			gains[i] = 1
 		}
-		d.paths = []Path{{Ranks: []int{3}}, {Ranks: []int{2}}}
-		d.plan.dirty = true
-		checkAgainstOracle(t, d, [][]complex128{y}, "tie")
-		if w := oracleDetect(d, y); w.win != 0 {
-			t.Fatalf("oracle won path %d, want the tie at path 0", w.win)
+		for _, workers := range []int{1, 3} {
+			d := New(cons, Options{NPE: 2, Workers: workers})
+			defer d.Close()
+			if err := d.Prepare(diagMatrix(gains), 0.05); err != nil {
+				t.Fatal(err)
+			}
+			y := make([]complex128, n)
+			for i, v := range tc.y {
+				y[d.qr.Perm[i]] = v
+			}
+			d.paths = []Path{{Ranks: tc.ranks0}, {Ranks: tc.ranks1}}
+			d.plan.dirty = true
+			checkAgainstOracle(t, d, [][]complex128{y}, tc.name)
+
+			yb := d.qr.Ybar(y)
+			idx, sym := make([]int, n), make([]complex128, n)
+			leaf0, _ := oraclePath(d, yb, tc.ranks0, idx, sym)
+			leaf1, _ := oraclePath(d, yb, tc.ranks1, idx, sym)
+			if math.Float64bits(leaf0) != math.Float64bits(leaf1) {
+				t.Fatalf("%s: leaves %v and %v differ; the case must tie", tc.name, leaf0, leaf1)
+			}
+			if w := oracleDetect(d, y); w.win != 0 {
+				t.Fatalf("%s: oracle won path %d, want the tie at path 0", tc.name, w.win)
+			}
+			if d.plan.steps[0].path != 1 {
+				t.Fatalf("%s: lex order starts at path %d, want 1 (the case must walk the higher index first)", tc.name, d.plan.steps[0].path)
+			}
+			if n > 1 {
+				var s scratch
+				s.ensure(n)
+				d.descend(yb, 0, 2, &s)
+				if got := s.ped[1] == leaf0; got != tc.prefixTies || d.plan.steps[1].from != 0 {
+					t.Fatalf("%s: path 0 restarts at level %d below a prefix at %v, leaf %v; want level 0 and equal %v",
+						tc.name, d.plan.steps[1].from, s.ped[1], leaf0, tc.prefixTies)
+				}
+			}
 		}
-		if d.plan.steps[0].path != 1 {
-			t.Fatalf("lex order starts at path %d, want 1 (the case must walk the higher index first)", d.plan.steps[0].path)
-		}
+	}
+}
+
+// TestDescentBlockSplitsPrunedSubtree puts a fan-out block boundary
+// inside a subtree the sequential walk prunes. Path 0 ends near the
+// received point; paths 1…5 share a top-level node whose partial
+// distance alone exceeds path 0's leaf, so the sequential walk prunes
+// them at that node. With Workers 3 the first block prunes the subtree
+// after path 0, while the next blocks start inside it with no best leaf
+// of their own and must walk it: each block's winner is exact, and the
+// merged winner is still path 0.
+func TestDescentBlockSplitsPrunedSubtree(t *testing.T) {
+	cons := constellation.MustNew(16)
+	d := New(cons, Options{NPE: 6, Workers: 3})
+	defer d.Close()
+	if err := d.Prepare(diagMatrix([]float64{1, 1}), 0.05); err != nil {
+		t.Fatal(err)
+	}
+	y := make([]complex128, 2)
+	y[d.qr.Perm[0]] = cons.Point(5) + complex(0.01, -0.02)
+	y[d.qr.Perm[1]] = cons.Point(9) + complex(-0.02, 0.01)
+	d.paths = []Path{
+		{Ranks: []int{1, 1}},
+		{Ranks: []int{1, 2}}, {Ranks: []int{2, 2}}, {Ranks: []int{3, 2}}, {Ranks: []int{4, 2}}, {Ranks: []int{5, 2}},
+	}
+	d.plan.dirty = true
+	checkAgainstOracle(t, d, [][]complex128{y}, "split")
+	if w := oracleDetect(d, y); w.win != 0 {
+		t.Fatalf("oracle won path %d, want path 0", w.win)
+	}
+	yb := d.qr.Ybar(y)
+	var s scratch
+	s.ensure(2)
+	lo, _ := laneBlock(1, 3, len(d.plan.steps))
+	win, best := d.descend(yb, 0, lo, &s)
+	if win != 0 || !(s.ped[1] > best) {
+		t.Fatalf("first block: winner %d at %v, subtree node at %v; want path 0 and the subtree pruned", win, best, s.ped[1])
+	}
+	if d.plan.steps[lo].from != 0 {
+		t.Fatalf("block boundary at lex position %d restarts at level %d, want inside the subtree (level 0)", lo, d.plan.steps[lo].from)
+	}
+	if win, _ := d.descend(yb, lo, len(d.plan.steps), &s); win <= 0 {
+		t.Fatalf("later blocks won path %d, want one of the subtree's paths", win)
 	}
 }
 
@@ -290,12 +380,19 @@ func TestDescentNaNAndDegenerateFallBack(t *testing.T) {
 }
 
 // BenchmarkDetect times one subcarrier of the static-reuse serving
-// workload: Select a prepared 8×8 16-QAM channel (N_PE 64, σ² = 0.05)
-// and detect a 14-vector burst with DetectBatch on one worker. The
-// custom metric divides by the per-PE node count N_PE·n per vector.
+// workload: Select a prepared 8×8 16-QAM channel (N_PE 64) and detect a
+// 14-vector burst with DetectBatch on one worker. The σ² legs bracket
+// the running-best bound: at 0.05 (the served noise level) most paths
+// are pruned high in the tree, at 0.3 far fewer are. The custom metric
+// divides by the per-PE node count N_PE·n per vector.
 func BenchmarkDetect(b *testing.B) {
+	for _, sigma2 := range []float64{0.05, 0.3} {
+		b.Run(fmt.Sprintf("sigma2=%g", sigma2), func(b *testing.B) { benchmarkDetect(b, sigma2) })
+	}
+}
+
+func benchmarkDetect(b *testing.B, sigma2 float64) {
 	const nt, npe, burst, nSC = 8, 64, 14, 8
-	const sigma2 = 0.05
 	rng := newRng(1201)
 	cons := constellation.MustNew(16)
 	hs := make([]*cmatrix.Matrix, nSC)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -11,7 +13,7 @@ import (
 func TestFindPathsParallelBatchOneMatchesSequential(t *testing.T) {
 	m := testModel(t, 64, []float64{0.5, 1.0, 1.5, 0.8, 1.2, 0.9}, 18)
 	seq, _ := FindPaths(m, 128, 0)
-	par, _, rounds := FindPathsParallel(m, 128, 1)
+	par, _, rounds := findPathsParallel(m, 128, 1)
 	if rounds != 128 {
 		t.Fatalf("batch-1 rounds %d, want 128", rounds)
 	}
@@ -41,7 +43,7 @@ func TestFindPathsParallelCoverage(t *testing.T) {
 		qr := cmatrix.SortedQR(h, cmatrix.OrderSQRD)
 		m := NewModel(qr.R, sigma2, cons)
 		seq, seqStats := FindPaths(m, nPE, 0)
-		par, parStats, rounds := FindPathsParallel(m, nPE, nPE/10)
+		par, parStats, rounds := findPathsParallel(m, nPE, nPE/10)
 		if rounds >= nPE {
 			t.Fatalf("batching did not reduce rounds: %d", rounds)
 		}
@@ -57,8 +59,8 @@ func TestFindPathsParallelCoverage(t *testing.T) {
 
 func TestFindPathsParallelLatencyReduction(t *testing.T) {
 	m := testModel(t, 64, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 20)
-	_, _, r1 := FindPathsParallel(m, 256, 1)
-	_, _, r16 := FindPathsParallel(m, 256, 16)
+	_, _, r1 := findPathsParallel(m, 256, 1)
+	_, _, r16 := findPathsParallel(m, 256, 16)
 	if r16*10 > r1 {
 		t.Fatalf("batch-16 rounds %d not ≈16× below batch-1 %d", r16, r1)
 	}
@@ -66,7 +68,7 @@ func TestFindPathsParallelLatencyReduction(t *testing.T) {
 
 func TestFindPathsParallelRespectsNPE(t *testing.T) {
 	m := testModel(t, 4, []float64{1, 1}, 8)
-	paths, _, _ := FindPathsParallel(m, 1000, 8)
+	paths, _, _ := findPathsParallel(m, 1000, 8)
 	if len(paths) != 16 {
 		t.Fatalf("%d paths, want all 16", len(paths))
 	}
@@ -78,4 +80,95 @@ func TestFindPathsParallelRespectsNPE(t *testing.T) {
 		}
 		seen[k] = true
 	}
+}
+
+// preNode is a node of findPathsParallel's candidate list (the
+// production search uses candNode and the pooled arena of pathFinder).
+type preNode struct {
+	ranks   []int
+	logP    float64
+	lastInc int // index whose increment generated this node (dedup rule)
+}
+
+// findPathsParallel is the batched pre-processing expansion of §3.1.1:
+// instead of expanding one best node per step, each round expands the
+// `batch` most promising candidates together, which is what a parallel
+// implementation does to cut pre-processing latency in dense
+// constellations. The paper reports negligible throughput loss versus
+// the sequential search provided N_PE/batch ≥ 10 — the property
+// TestFindPathsParallelCoverage checks. It is a selection model kept
+// for the tests; FlexCore detectors run the sequential FindPaths.
+//
+// The function reproduces the *selection semantics* of a parallel
+// expansion deterministically; the child-generation arithmetic is so
+// small that spawning goroutines per round would only add overhead in
+// Go, so rounds execute inline. Latency is modelled by Rounds in the
+// returned stats (a hardware round costs one expansion latency
+// regardless of batch width).
+func findPathsParallel(m *Model, nPE, batch int) ([]Path, PreprocessStats, int) {
+	var stats PreprocessStats
+	rounds := 0
+	n := m.Levels()
+	if nPE < 1 {
+		nPE = 1
+	}
+	if batch < 1 {
+		batch = 1
+	}
+	total := 1.0
+	for i := 0; i < n; i++ {
+		total *= float64(m.M)
+		if total > 1e15 {
+			total = 1e15
+			break
+		}
+	}
+	if float64(nPE) > total {
+		nPE = int(total)
+	}
+
+	root := preNode{ranks: onesVector(n), logP: m.RootLogP(), lastInc: n - 1}
+	stats.RealMuls += int64(n)
+	list := []preNode{root}
+	e := make([]Path, 0, nPE)
+	var cumulative float64
+
+	for len(e) < nPE && len(list) > 0 {
+		rounds++
+		take := batch
+		if take > nPE-len(e) {
+			take = nPE - len(e)
+		}
+		if take > len(list) {
+			take = len(list)
+		}
+		expand := list[:take]
+		list = list[take:]
+		for _, node := range expand {
+			e = append(e, Path{Ranks: node.ranks, LogP: node.logP})
+			cumulative += math.Exp(node.logP)
+			stats.Expanded++
+			for w := 0; w <= node.lastInc; w++ {
+				if node.ranks[w] >= m.M {
+					continue
+				}
+				child := preNode{
+					ranks:   append([]int(nil), node.ranks...),
+					logP:    node.logP + m.logPe[w],
+					lastInc: w,
+				}
+				child.ranks[w]++
+				stats.RealMuls++
+				pos := sort.Search(len(list), func(i int) bool { return list[i].logP < child.logP })
+				list = append(list, preNode{})
+				copy(list[pos+1:], list[pos:])
+				list[pos] = child
+			}
+		}
+		if len(list) > nPE {
+			list = list[:nPE]
+		}
+	}
+	stats.CumulativeProb = cumulative
+	return e, stats, rounds
 }

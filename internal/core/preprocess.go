@@ -48,15 +48,6 @@ func (s *PreprocessStats) Add(other PreprocessStats) {
 	s.CacheMisses += other.CacheMisses
 }
 
-// preNode is a pre-processing tree node (used by the batched-expansion
-// model FindPathsParallel; the production search uses candNode and the
-// pooled arena of pathFinder).
-type preNode struct {
-	ranks   []int
-	logP    float64
-	lastInc int // index whose increment generated this node (dedup rule)
-}
-
 // pathFinder owns the reusable storage of the pre-processing tree
 // search: the bounded candidate heap and the result arena the selected
 // paths are emitted into. Repeated searches with the same (N_PE, Nt)
@@ -184,12 +175,4 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64) ([]Path, Pre
 func FindPaths(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
 	var f pathFinder
 	return f.find(m, nPE, stopThreshold)
-}
-
-func onesVector(n int) []int {
-	v := make([]int, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }

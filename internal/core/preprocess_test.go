@@ -240,3 +240,13 @@ func TestFindPathsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// onesVector returns the all-ones position vector of n levels (the
+// root of the pre-processing tree).
+func onesVector(n int) []int {
+	v := make([]int, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}

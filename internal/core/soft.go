@@ -32,10 +32,10 @@ func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs 
 	var s scratch
 	s.ensure(d.n)
 	if !d.plan.degenerate {
-		// Every path walks from the root in path-index order: the
-		// candidate list needs each leaf, not only the winner.
+		// Every path walks from the root in path-index order, unbounded:
+		// the candidate list needs each leaf, not only the winner.
 		for _, p := range d.paths {
-			if d.walk(ybar, p.Ranks, d.n-1, &s) < 0 {
+			if d.walk(ybar, p.Ranks, d.n-1, math.Inf(1), &s) < 0 {
 				cands = append(cands, candidate{idx: append([]int(nil), s.idx...), ped: s.ped[0]})
 			}
 		}

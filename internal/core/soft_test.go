@@ -105,3 +105,97 @@ func TestDetectSoftClamping(t *testing.T) {
 		}
 	}
 }
+
+// oracleSoft is max-log-MAP over every selected path, each walked from
+// the root by the per-path oracle: the candidate list DetectSoft must
+// build, whatever bound the hard descent uses. With no survivor the
+// list is the fallback decision at distance 0.
+func oracleSoft(d *FlexCore, y []complex128, sigma2 float64) (best []int, llrs [][]float64) {
+	n, bits := d.n, d.cons.BitsPerSymbol()
+	yb := d.qr.Ybar(y)
+	idx, sym := make([]int, n), make([]complex128, n)
+	type cand struct {
+		idx []int // factored order
+		ped float64
+	}
+	var cands []cand
+	for _, p := range d.paths {
+		if ped, ok := oraclePath(d, yb, p.Ranks, idx, sym); ok {
+			cands = append(cands, cand{append([]int(nil), idx...), ped})
+		}
+	}
+	if len(cands) == 0 {
+		dec := oracleDetect(d, y).dec
+		fb := make([]int, n)
+		for k, src := range d.qr.Perm {
+			fb[k] = dec[src]
+		}
+		cands = append(cands, cand{fb, 0})
+	}
+	llrs = make([][]float64, n)
+	bitBuf := make([]uint8, bits)
+	for k, src := range d.qr.Perm {
+		llrs[src] = make([]float64, bits)
+		for b := range llrs[src] {
+			min0, min1 := math.Inf(1), math.Inf(1)
+			for _, c := range cands {
+				d.cons.SymbolBits(c.idx[k], bitBuf)
+				if bitBuf[b] == 0 {
+					min0 = math.Min(min0, c.ped)
+				} else {
+					min1 = math.Min(min1, c.ped)
+				}
+			}
+			switch {
+			case math.IsInf(min0, 1):
+				llrs[src][b] = -maxLLR
+			case math.IsInf(min1, 1):
+				llrs[src][b] = maxLLR
+			default:
+				llrs[src][b] = math.Max(-maxLLR, math.Min(maxLLR, (min1-min0)/sigma2))
+			}
+		}
+	}
+	win := 0
+	for i, c := range cands {
+		if c.ped < cands[win].ped {
+			win = i
+		}
+	}
+	return d.qr.UnpermuteInts(cands[win].idx), llrs
+}
+
+// TestDetectSoftUnbounded pins DetectSoft's LLRs bit for bit to max-log
+// LLRs over every selected path, so the hard descent's running-best
+// bound can never thin the candidate list: clamped and strict slicing,
+// two noise levels, N_PE 16 and 64 on 4×4 16-QAM.
+func TestDetectSoftUnbounded(t *testing.T) {
+	rng := newRng(404)
+	cons := constellation.MustNew(16)
+	for _, strict := range []bool{false, true} {
+		for _, npe := range []int{16, 64} {
+			d := New(cons, Options{NPE: npe, StrictDeactivation: strict})
+			defer d.Close()
+			for c := 0; c < 40; c++ {
+				sigma2 := []float64{0.05, 0.3}[c%2]
+				h := channel.Rayleigh(rng, 4, 4)
+				if err := d.Prepare(h, sigma2); err != nil {
+					t.Fatal(err)
+				}
+				y := transmit(rng, h, cons, randSymbols(rng, cons, 4), sigma2)
+				best, llrs := d.DetectSoft(y, sigma2)
+				wantBest, wantLLRs := oracleSoft(d, y, sigma2)
+				if !equalInts(best, wantBest) {
+					t.Fatalf("%s channel %d: best %v, oracle %v", d.Name(), c, best, wantBest)
+				}
+				for u := range llrs {
+					for b, l := range llrs[u] {
+						if math.Float64bits(l) != math.Float64bits(wantLLRs[u][b]) {
+							t.Fatalf("%s channel %d stream %d bit %d: LLR %v, oracle %v", d.Name(), c, u, b, l, wantLLRs[u][b])
+						}
+					}
+				}
+			}
+		}
+	}
+}
