@@ -13,8 +13,8 @@ const (
 	BackendComplex128 Backend = iota
 	// BackendSoA32 is the reduced-precision backend: float32
 	// structure-of-arrays planes batched across the N_PE paths
-	// (internal/kernel32), with the pre-processing search running on a
-	// packed-key float32 heap. Decisions match the scalar backend on
+	// (internal/kernel32), with the pre-processing search running on
+	// float32 keys. Decisions match the scalar backend on
 	// the conformance corpus; distances carry the documented
 	// ULP-scaled tolerance. ExactSlicer detections always use the
 	// scalar arithmetic regardless of backend (they are a verification

@@ -61,8 +61,8 @@ type Options struct {
 	// Backend selects the hot-path arithmetic (DESIGN.md §11). The
 	// default BackendComplex128 is the reference scalar arithmetic;
 	// BackendSoA32 runs detection on float32 structure-of-arrays planes
-	// batched across the paths and the pre-processing search on a
-	// packed-key float32 heap. Decisions match the default backend on
+	// batched across the paths and the pre-processing search with
+	// float32 keys. Decisions match the default backend on
 	// the conformance corpus; distances carry a documented ULP-scaled
 	// tolerance. ExactSlicer always detects with the scalar arithmetic
 	// regardless of Backend.
@@ -112,7 +112,6 @@ type FlexCore struct {
 	qrws     cmatrix.QRWorkspace
 	modelOwn Model
 	finder   pathFinder
-	finder32 pathFinder32
 	reuse    reuseCache
 	extReuse *ReuseState // caller-owned cross-frame bases (SetReuseState)
 
@@ -209,7 +208,7 @@ func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
 			return
 		}
 	}
-	paths, stats := d.search(d.model, &d.finder, &d.finder32)
+	paths, stats := d.search(d.model, &d.finder)
 	d.ppOps.RealMuls += stats.RealMuls
 	d.ppOps.Expanded += stats.Expanded
 	d.ppOps.CumulativeProb = stats.CumulativeProb
@@ -222,16 +221,12 @@ func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
 	d.paths = paths
 }
 
-// search runs the active backend's pre-processing tree search on m at
-// the current N_PE with the caller-owned finders (only the backend's
-// one is touched).
+// search runs the pre-processing tree search on m at the current N_PE
+// and the active backend's key width, with the caller-owned finder.
 //
 //flexcore:noalloc
-func (d *FlexCore) search(m *Model, f *pathFinder, f32 *pathFinder32) ([]Path, PreprocessStats) {
-	if d.useSoA() {
-		return f32.find(m, d.npe, d.opts.Threshold)
-	}
-	return f.find(m, d.npe, d.opts.Threshold)
+func (d *FlexCore) search(m *Model, f *pathFinder) ([]Path, PreprocessStats) {
+	return f.find(m, d.npe, d.opts.Threshold, d.useSoA())
 }
 
 // countSimilarity accounts the coherence test's arithmetic: 2 real

@@ -315,6 +315,36 @@ func BenchmarkFlexCorePreprocess12x12_64QAM_128(b *testing.B) {
 	}
 }
 
+// BenchmarkFindPaths times the steady-state pre-processing search of one
+// fading-fresh subcarrier — 8×8 16-QAM, N_PE 64, σ² 0.05 — on a reused
+// finder, the detector's own path (the 12×12 benchmark above times the
+// allocating standalone entry point), at both key widths, cycling over
+// eight Rayleigh channels.
+func BenchmarkFindPaths(b *testing.B) {
+	const nt, npe, nCh = 8, 64, 8
+	cons := constellation.MustNew(16)
+	rng := newRng(1501)
+	models := make([]*Model, nCh)
+	for i := range models {
+		qr := cmatrix.SortedQR(channel.Rayleigh(rng, nt, nt), cmatrix.OrderSQRD)
+		models[i] = NewModel(qr.R, 0.05, cons)
+	}
+	for _, bb := range benchBackends {
+		b.Run(bb.name, func(b *testing.B) {
+			var f pathFinder
+			f32 := bb.backend == BackendSoA32
+			for _, m := range models { // size the arenas outside the timed loop
+				f.find(m, npe, 0, f32)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.find(models[i%nCh], npe, 0, f32)
+			}
+		})
+	}
+}
+
 func TestFlexCoreDenseConstellation256(t *testing.T) {
 	// The paper's §3.1.1 discusses very dense constellations; 256-QAM
 	// must work end to end (pre-processing, LUT ordering, detection).

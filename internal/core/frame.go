@@ -329,7 +329,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		p.hs, p.frame, p.miss = nil, nil, nil
 	} else {
 		for _, k := range d.missIdx {
-			frame[k].storePaths(d.search(&frame[k].model, &d.finder, &d.finder32))
+			frame[k].storePaths(d.search(&frame[k].model, &d.finder))
 		}
 	}
 

@@ -83,7 +83,7 @@ func TestFindPathsParallelRespectsNPE(t *testing.T) {
 }
 
 // preNode is a node of findPathsParallel's candidate list (the
-// production search uses candNode and the pooled arena of pathFinder).
+// production search uses the pooled arena of pathFinder).
 type preNode struct {
 	ranks   []int
 	logP    float64

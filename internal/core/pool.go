@@ -57,11 +57,10 @@ type poolWorker struct {
 	id    int
 	start chan struct{}
 
-	sc       scratch             // jobPaths/jobBatch: per-worker descent state
-	qrws     cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
-	finder   pathFinder          // jobPrepPaths: per-worker search pool
-	finder32 pathFinder32        // jobPrepPaths: per-worker search pool (SoA backend)
-	ks       kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
+	sc     scratch             // jobPaths/jobBatch: per-worker descent state
+	qrws   cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
+	finder pathFinder          // jobPrepPaths: per-worker search pool
+	ks     kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
 
 	win    int     // jobPaths: block-best path index, -1 when none survives
 	ped    float64 // jobPaths: block-best distance
@@ -197,7 +196,7 @@ func (p *pool) runPrepModel(w *poolWorker) {
 }
 
 // runPrepPaths runs the pre-processing tree search for the worker's
-// stride of the frame's fresh slots, using the worker's pooled finders.
+// stride of the frame's fresh slots, using the worker's pooled finder.
 //
 //flexcore:noalloc
 func (p *pool) runPrepPaths(w *poolWorker) {
@@ -205,6 +204,6 @@ func (p *pool) runPrepPaths(w *poolWorker) {
 	stride := len(p.workers)
 	for i := w.id; i < len(p.miss); i += stride {
 		s := &p.frame[p.miss[i]]
-		s.storePaths(d.search(&s.model, &w.finder, &w.finder32))
+		s.storePaths(d.search(&s.model, &w.finder))
 	}
 }

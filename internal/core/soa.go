@@ -7,7 +7,7 @@ import (
 // This file wires the reduced-precision SoA backend (internal/kernel32,
 // DESIGN.md §11) into the detector: Options.Backend == BackendSoA32
 // routes the detect hot path through the lane-batched float32 kernel and
-// the pre-processing search through the packed-key float32 finder. The
+// runs the pre-processing search with float32 keys (FindPaths32). The
 // conversion happens at two narrow boundaries — Prepare/Select mark the
 // planes stale and the first detection rebuilds them; detection results
 // convert back to the public []int form — so the API, the OpCount
